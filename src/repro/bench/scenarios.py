@@ -275,33 +275,37 @@ def _recover_stabilize_n3() -> Dict[str, int]:
 
 
 def _parallel_shard_overhead() -> Dict[str, int]:
-    """Shard a Fischer fuzz campaign 4 ways in-process, then merge.
+    """Shard a fault-free Algorithm 3 campaign 4 ways in-process, then merge.
 
     ``workers=1`` keeps execution in this process (the pickling-free
     fallback path), so the scenario measures exactly the fabric's own
     overhead: shard construction, sub-seed derivation, per-shard
-    dispatch, and the deterministic merge.  The counters are the
-    pipeline's deterministic sizes — a drift in ``parallel_steps`` or
-    ``parallel_merge_items`` on an unchanged tree means sharding changed
-    *what* the campaign explores, which is exactly the bug the
-    determinism contract forbids.
+    dispatch through the chaos shard worker, and the deterministic
+    merge.  The counters are the pipeline's deterministic sizes — a
+    drift in ``parallel_steps`` or ``parallel_merge_items`` on an
+    unchanged tree means sharding changed *what* the campaign explores,
+    which is exactly the bug the determinism contract forbids.
     """
     # Imported here to keep repro.bench importable without these layers.
-    from ..parallel import WorkerPool, make_shards, merge_fuzz_results
-    from ..verify.fuzz import _campaign_shard
+    from ..chaos import Campaign
+    from ..chaos.runner import DEFAULT_MAX_STEPS, _sim_shard
+    from ..parallel import WorkerPool, make_shards, merge_campaign_runs
 
     schedules = 48
-    shards = make_shards(schedules, 4, master_seed=0)
+    campaign = Campaign(substrate="sim", seed="bench-shard")
+    shards = make_shards(schedules, 4, master_seed=campaign.seed)
     with WorkerPool(1) as pool:
-        results = pool.run(_campaign_shard, shards,
-                           ("fischer_n3", 0, schedules, False))
-    merged = merge_fuzz_results([r.value for r in results])
+        results = pool.run(_sim_shard, shards,
+                           ("alg3_n4", campaign, DEFAULT_MAX_STEPS, False))
+    parts = [r.value for r in results]
+    report = merge_campaign_runs(campaign, parts)
+    assert report.ok, report.failing
     return {
         "parallel_shards": len(shards),
         "parallel_shard_schedules": max(s.count for s in shards),
-        "parallel_merge_items": len(merged.failures),
-        "parallel_schedules_run": merged.schedules_run,
-        "parallel_steps": merged.steps_taken,
+        "parallel_merge_items": sum(len(part) for part in parts),
+        "parallel_schedules_run": report.schedules_run,
+        "parallel_steps": report.total_steps,
     }
 
 
@@ -441,8 +445,9 @@ _REGISTRY: List[Scenario] = [
         fn=_recover_stabilize_n3,
     ),
     Scenario(
-        "parallel/fuzz_shard_overhead",
-        "Fischer fuzz sharded 4 ways in-process: shard + dispatch + merge",
+        "parallel/campaign_shard_overhead",
+        "fault-free alg3_n4 campaign sharded 4 ways in-process: "
+        "shard + dispatch + merge",
         quick=True,
         fn=_parallel_shard_overhead,
     ),

@@ -10,9 +10,15 @@ Subcommands::
     shrink  re-minimize an existing artifact (e.g. one uploaded by CI)
     replay  re-execute an artifact and verify the violation byte-identically
 
+A schedule-fuzzing run is a campaign without faults: ``run --target
+alg3_n4 --windows 0 --expect clean`` drives the uniform random
+scheduler over the target and checks its safety properties at every
+step.
+
 Exit codes: 0 = expectation met, 1 = violated (a hit under ``--expect
 clean``, no hit under ``--expect violation``, or a replay mismatch),
-2 = usage error.
+2 = usage error (including an empty run — ``--campaigns 0`` or
+``--schedules 0`` checks nothing, so it is never a vacuous pass).
 """
 
 from __future__ import annotations
@@ -89,8 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", type=Path, default=None, metavar="FILE",
                      help="write every run's structured trace (repro.obs "
                           "JSONL, global run-index order) here; "
-                          "byte-identical across --workers counts "
-                          "(sim substrate only)")
+                          "byte-identical across --workers counts")
     run.add_argument("--shrink", action="store_true",
                      help="minimize the first failing run")
     run.add_argument("--artifact-dir", type=Path, default=None,
@@ -120,9 +125,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
-    if args.trace is not None and args.substrate != "sim":
-        print("--trace is sim-only", file=sys.stderr)
-        return 2
+    for flag, value in (("--campaigns", args.campaigns),
+                        ("--schedules", args.schedules)):
+        if value < 1:
+            print(f"an empty run checks nothing: {flag} must be >= 1, "
+                  f"got {value}", file=sys.stderr)
+            return 2
     if args.expect == "recover" and (
         args.substrate != "sim" or not sim_target(args.target).recover
     ):
@@ -211,8 +219,6 @@ def _run_campaigns(
                 workers=args.workers, pool=pool,
                 trace=args.trace is not None,
             )
-            for _run_index, records in report.trace_chunks:
-                trace_records.extend(records)
         else:
             params = NetParams()
             campaign = sample_net_campaign(
@@ -222,7 +228,10 @@ def _run_campaigns(
             report = run_net_campaign(
                 campaign, schedules=args.schedules, params=params,
                 workers=args.workers, pool=pool,
+                trace=args.trace is not None,
             )
+        for _run_index, records in report.trace_chunks:
+            trace_records.extend(records)
         if report.shard_timing:
             timing.extend(report.shard_timing)
         entry: Dict[str, Any] = {

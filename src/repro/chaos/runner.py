@@ -27,11 +27,17 @@ which is what lets the shrinker evaluate arbitrary subsequences.
 any recorded schedule is self-justifying, which is why the shrinker can
 usually delete every window — see :mod:`repro.chaos.shrink`.)
 
+With no windows and no crashes the scheduler is a uniform
+``rng.choice`` over the enabled processes — the standard asynchronous
+adversary — so a fault-free campaign (``Campaign(substrate="sim",
+seed=...)``, or ``--windows 0`` on the CLI) is plain schedule fuzzing.
+Any program can be fuzzed that way by wrapping its factories and
+properties in an ad-hoc :class:`SimTarget`.
+
 **Net substrate.**  A chaos run is a seeded client workload over the ABD
 quorum emulation under the campaign's fault plan, checked against the
-atomic-register linearizability spec — the same harness as
-:mod:`repro.net.fuzz`, but with the explicit (campaign, workload, seed)
-triple the shrinker and the artifacts need.
+atomic-register linearizability spec, with the explicit (campaign,
+workload, seed) triple the shrinker and the artifacts need.
 """
 
 from __future__ import annotations
@@ -528,8 +534,7 @@ class CampaignReport:
     verdicts: int = 0
     first_verdict: Optional[ChaosViolation] = None
     # (global run index, repro.obs records) per traced run, in index
-    # order — same chunk discipline as the fuzzers, so concatenating is
-    # byte-identical across worker counts.
+    # order, so concatenating is byte-identical across worker counts.
     trace_chunks: List[Tuple[int, List[Dict[str, Any]]]] = field(
         default_factory=list
     )
@@ -551,25 +556,21 @@ class CampaignReport:
         )
 
 
-def _traced_sim_run(
-    target: SimTarget,
-    campaign: Campaign,
-    run_seed: str,
-    max_steps: int,
-    trace: bool,
-) -> Tuple[SimOutcome, Optional[List[Dict[str, Any]]]]:
-    """One generated run, optionally under a private tracer."""
+def _traced_run(
+    trace: bool, run: Callable[..., Any], *args: Any, **kwargs: Any
+) -> Tuple[Any, Optional[List[Dict[str, Any]]]]:
+    """``run(*args, **kwargs)``, optionally under a private tracer.
+
+    Returns the run's outcome and, when ``trace`` is set, its
+    ``repro.obs`` records — one chunk per run, for either substrate.
+    """
     if not trace:
-        return run_sim(
-            target, campaign, run_seed=run_seed, max_steps=max_steps
-        ), None
+        return run(*args, **kwargs), None
     from repro.obs import Tracer, trace_scope
 
     tracer = Tracer()
     with trace_scope(tracer):
-        outcome = run_sim(
-            target, campaign, run_seed=run_seed, max_steps=max_steps
-        )
+        outcome = run(*args, **kwargs)
     return outcome, tracer.take()
 
 
@@ -589,8 +590,9 @@ def _sim_shard(shard, payload) -> List[Any]:
     target = sim_target(target_name)
     records: List[Any] = []
     for index in range(shard.start, shard.stop):
-        outcome, chunk = _traced_sim_run(
-            target, campaign, str(index), max_steps, trace
+        outcome, chunk = _traced_run(
+            trace, run_sim, target, campaign,
+            run_seed=str(index), max_steps=max_steps,
         )
         records.append(
             RunRecord(
@@ -651,6 +653,8 @@ def run_sim_campaign(
     ``trace=True`` records each run under a private ``repro.obs`` tracer
     and collects the chunks on the report in run-index order.
     """
+    if schedules < 0:
+        raise ValueError(f"schedules must be >= 0, got {schedules}")
     if workers != 1 or pool is not None:
         return _run_campaign_sharded(
             campaign, schedules, _sim_shard,
@@ -659,8 +663,9 @@ def run_sim_campaign(
         )
     report = CampaignReport(campaign=campaign)
     for index in range(schedules):
-        outcome, chunk = _traced_sim_run(
-            target, campaign, str(index), max_steps, trace
+        outcome, chunk = _traced_run(
+            trace, run_sim, target, campaign,
+            run_seed=str(index), max_steps=max_steps,
         )
         report.schedules_run += 1
         report.total_steps += outcome.steps
@@ -871,6 +876,14 @@ def run_net(
     return outcome
 
 
+def _generated_net_run(
+    campaign: Campaign, run_seed: str, params: NetParams
+) -> NetOutcome:
+    """One campaign run: sample its workload, then execute it."""
+    workload = sample_net_workload(campaign, run_seed, params)
+    return run_net(campaign, workload, params=params, run_seed=run_seed)
+
+
 def _net_shard(shard, payload) -> List[Any]:
     """Shard worker: one slice of a net campaign's run-index range.
 
@@ -879,17 +892,18 @@ def _net_shard(shard, payload) -> List[Any]:
     """
     from ..parallel.merge import RunRecord
 
-    campaign, params = payload
+    campaign, params, trace = payload
     records: List[Any] = []
     for index in range(shard.start, shard.stop):
-        run_seed = str(index)
-        workload = sample_net_workload(campaign, run_seed, params)
-        outcome = run_net(campaign, workload, params=params, run_seed=run_seed)
+        outcome, chunk = _traced_run(
+            trace, _generated_net_run, campaign, str(index), params
+        )
         records.append(
             RunRecord(
                 index=index,
                 steps=outcome.operations,
                 outcome=None if outcome.ok else outcome,
+                trace=chunk,
             )
         )
         if not outcome.ok:
@@ -903,24 +917,29 @@ def run_net_campaign(
     params: NetParams = NetParams(),
     workers: int = 1,
     pool=None,
+    trace: bool = False,
 ) -> CampaignReport:
     """Run ``schedules`` sampled workloads; stop at the first failure.
 
-    Sharding semantics are those of :func:`run_sim_campaign`: worker
-    count never changes the report, only ``shard_timing``.
+    Sharding and tracing semantics are those of :func:`run_sim_campaign`:
+    worker count never changes the report, only ``shard_timing``.
     """
+    if schedules < 0:
+        raise ValueError(f"schedules must be >= 0, got {schedules}")
     if workers != 1 or pool is not None:
         return _run_campaign_sharded(
-            campaign, schedules, _net_shard, (campaign, params),
+            campaign, schedules, _net_shard, (campaign, params, trace),
             workers=workers if pool is None else pool.workers, pool=pool,
         )
     report = CampaignReport(campaign=campaign)
     for index in range(schedules):
-        run_seed = str(index)
-        workload = sample_net_workload(campaign, run_seed, params)
-        outcome = run_net(campaign, workload, params=params, run_seed=run_seed)
+        outcome, chunk = _traced_run(
+            trace, _generated_net_run, campaign, str(index), params
+        )
         report.schedules_run += 1
         report.total_steps += outcome.operations
+        if chunk is not None:
+            report.trace_chunks.append((index, chunk))
         if not outcome.ok:
             report.failing = outcome
             break

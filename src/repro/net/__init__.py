@@ -14,14 +14,15 @@ substrate in both directions of the classic equivalence:
   read-repair reads, crash-minority tolerance), behind a facade that
   runs the repo's register-only algorithms unchanged;
 * :mod:`repro.net.resilience` — the bridge mapping ``Δ`` to the
-  delivery bound so the paper's experiments re-run networked;
-* :mod:`repro.net.fuzz` — fuzzed net schedules checked against the
-  linearizability spec (``python -m repro.verify.fuzz --substrate net``).
+  delivery bound so the paper's experiments re-run networked.
+
+Random workloads over the quorum emulation, checked against the
+linearizability spec under sampled fault plans, run as chaos campaigns
+(``python -m repro.chaos run --substrate net``).
 """
 
 from .engine import NetEngine
 from .faults import DelaySpike, MessageLoss, NetFaultPlan, Partition
-from .fuzz import NetFuzzReport, fuzz_quorum_register
 from .quorum import QuorumSystem
 from .resilience import (
     bound_for_delta,
@@ -50,7 +51,4 @@ __all__ = [
     "delta_net",
     "bound_for_delta",
     "convergence_start",
-    # fuzzing
-    "NetFuzzReport",
-    "fuzz_quorum_register",
 ]

@@ -2,7 +2,7 @@
 
 The observability substrate over all three execution substrates: attach
 a :class:`Tracer` (explicitly or via :func:`trace_scope`) and the timed
-engine, the message fabric, and the chaos/fuzz harnesses emit canonical
+engine, the message fabric, and the chaos campaign harness emit canonical
 span/event records; export them as JSONL or Chrome trace-event JSON;
 fold them into metrics; mine per-link delay observations into a
 timeliness graph.  ``python -m repro.obs summarize|convert|timeliness``

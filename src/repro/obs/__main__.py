@@ -1,7 +1,7 @@
 """CLI for stored traces: ``python -m repro.obs summarize|convert|timeliness``.
 
 All subcommands read a JSONL trace produced by ``--trace FILE`` on the
-chaos/fuzz CLIs (or :func:`repro.obs.write_jsonl` directly) and are
+chaos CLI (or :func:`repro.obs.write_jsonl` directly) and are
 deterministic: same trace bytes in, same bytes out.
 
   summarize TRACE [--json]           metrics document / human summary

@@ -1,10 +1,9 @@
-"""Seed-sharded worker fabric for the heavy campaign workloads.
+"""Seed-sharded worker fabric for chaos campaigns.
 
-Every campaign in this repo (``repro.verify.fuzz``, ``repro.net.fuzz``,
-``repro.chaos``) is a loop over independently seeded work items.  This
-package turns that loop into a fabric:
+A chaos campaign (:mod:`repro.chaos`) is a loop over independently
+seeded runs.  This package turns that loop into a fabric:
 
-* :mod:`~repro.parallel.shard` — split the item range into contiguous
+* :mod:`~repro.parallel.shard` — split the run range into contiguous
   shards with master-seed-derived, worker-count-independent sub-seeds;
 * :mod:`~repro.parallel.pool` — run shards on a spawn-safe
   ``multiprocessing`` pool, or entirely in-process with ``workers=1``
@@ -15,19 +14,13 @@ package turns that loop into a fabric:
 
 The determinism contract (sharding may never change *what* a campaign
 finds, only how fast) is CI-gated: the ``parallel-determinism`` job
-byte-compares the fuzz summary JSON across worker counts, and any
-violation found in parallel replays through the unchanged single-process
-``repro.chaos`` pipeline.
+byte-compares the chaos summary JSON and trace JSONL across worker
+counts, and any violation found in parallel replays through the
+unchanged single-process ``repro.chaos`` pipeline.
 """
 
-from .merge import (
-    RunRecord,
-    merge_campaign_runs,
-    merge_counters,
-    merge_fuzz_results,
-    merge_net_reports,
-)
-from .pool import ShardResult, WorkerError, WorkerPool, run_sharded, timing_rows
+from .merge import RunRecord, merge_campaign_runs
+from .pool import ShardResult, WorkerError, WorkerPool, timing_rows
 from .shard import Shard, derive_subseeds, make_shards
 
 __all__ = [
@@ -37,11 +30,7 @@ __all__ = [
     "ShardResult",
     "WorkerError",
     "WorkerPool",
-    "run_sharded",
     "timing_rows",
     "RunRecord",
-    "merge_counters",
-    "merge_fuzz_results",
-    "merge_net_reports",
     "merge_campaign_runs",
 ]

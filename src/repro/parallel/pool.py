@@ -17,8 +17,8 @@ captured (value or traceback) and a failing shard raises
 fails the campaign loudly and reproducibly.
 
 Every :class:`ShardResult` records the shard's wall-clock time and the
-executing worker's pid, which is where the CLIs' per-worker
-wall/throughput reports come from.
+executing worker's pid, which is where the chaos CLI's
+``--timing-json`` wall/throughput rows come from.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "ShardResult",
     "WorkerError",
     "WorkerPool",
-    "run_sharded",
     "timing_rows",
 ]
 
@@ -144,17 +143,6 @@ class WorkerPool:
             if result.error is not None:
                 raise WorkerError(result.shard, result.error)
         return results
-
-
-def run_sharded(
-    fn: ShardWorker,
-    shards: Sequence[Shard],
-    payload: Any = None,
-    workers: int = 1,
-) -> List[ShardResult]:
-    """One-shot convenience: run shards on a fresh pool and close it."""
-    with WorkerPool(workers) as pool:
-        return pool.run(fn, shards, payload)
 
 
 def timing_rows(

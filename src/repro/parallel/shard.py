@@ -1,14 +1,13 @@
 """Splitting a seed/schedule range into deterministic work shards.
 
-Every heavy workload in this repo — fuzz campaigns, chaos campaigns,
-net-substrate fuzzing — is a loop over *independently seeded* work
-items: run ``i`` derives its RNG from ``(master_seed, i)`` and nothing
-else.  That independence is what makes sharding trivial **and** what the
-determinism contract leans on: a :class:`Shard` is just a contiguous
-slice ``[start, stop)`` of the global item range, and any partition of
-that range — one shard on one worker, or eight shards on eight — must
-produce results that merge back (:mod:`repro.parallel.merge`) into
-exactly the sequential output.
+Every chaos campaign in this repo, on either substrate, is a loop over
+*independently seeded* work items: run ``i`` derives its RNG from
+``(master_seed, i)`` and nothing else.  That independence is what makes
+sharding trivial **and** what the determinism contract leans on: a
+:class:`Shard` is just a contiguous slice ``[start, stop)`` of the
+global item range, and any partition of that range — one shard on one
+worker, or eight shards on eight — must produce results that merge back
+(:mod:`repro.parallel.merge`) into exactly the sequential output.
 
 Two rules keep that true:
 

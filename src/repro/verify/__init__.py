@@ -7,7 +7,6 @@ E13).
 """
 
 from .explorer import ExplorationResult, Violation, explore, replay_schedule
-from .fuzz import FuzzFailure, FuzzResult, fuzz
 from .properties import (
     AgreementProperty,
     InvariantProperty,
@@ -29,9 +28,6 @@ __all__ = [
     "replay_schedule",
     "ExplorationResult",
     "Violation",
-    "FuzzFailure",
-    "FuzzResult",
-    "fuzz",
     "SafetyProperty",
     "MutualExclusionProperty",
     "AgreementProperty",

@@ -57,9 +57,8 @@ _RESTART_MARK = ("__restart__",)
 def op_kind(op: Optional[Op]) -> str:
     """Trace-op name for a pending op (see :meth:`Sandbox.pending_op`).
 
-    Shared vocabulary for the harnesses that trace logical-clock steps
-    (:mod:`repro.chaos.runner`, :mod:`repro.verify.fuzz`): the returned
-    string is the ``op`` field of a ``repro.obs`` op record.
+    Vocabulary for tracing logical-clock steps (:mod:`repro.chaos.runner`):
+    the returned string is the ``op`` field of a ``repro.obs`` op record.
     """
     if isinstance(op, Read):
         return "read"

@@ -112,11 +112,17 @@ class TestRecoverExpectation:
             "--seed", "s", "--expect", "recover",
         ]) == 2
 
-    def test_trace_is_sim_only(self, tmp_path):
+    def test_net_trace_is_written(self, tmp_path):
+        trace = tmp_path / "t.jsonl"
         assert main([
-            "run", "--substrate", "net", "--seed", "s",
-            "--trace", str(tmp_path / "t.jsonl"),
-        ]) == 2
+            "run", "--substrate", "net", "--seed", "s", "--campaigns", "1",
+            "--schedules", "2", "--trace", str(trace),
+        ]) == 0
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        markers = [r for r in records if r["kind"] == "run"]
+        assert [(r["substrate"], r["run_seed"]) for r in markers] == [
+            ("net", "0"), ("net", "1"),
+        ]
 
     def test_trace_and_summary_identical_across_worker_counts(self, tmp_path):
         # The restart-determinism gate: a sharded recover campaign must

@@ -167,6 +167,11 @@ class TestRunSimCampaign:
         assert report.ok and report.schedules_run == 3
         assert "ok" in repr(report)
 
+    def test_negative_schedules_rejected(self):
+        campaign = Campaign(substrate="sim", seed="neg")
+        with pytest.raises(ValueError, match="schedules"):
+            run_sim_campaign(_counter_target(), campaign, schedules=-5)
+
 
 class TestRunNet:
     def test_deterministic_and_clean_on_abd(self):
@@ -201,3 +206,7 @@ class TestRunNet:
         campaign = sample_net_campaign("net-2")
         report = run_net_campaign(campaign, schedules=2)
         assert report.ok and report.schedules_run == 2
+
+    def test_run_net_campaign_negative_schedules_rejected(self):
+        with pytest.raises(ValueError, match="schedules"):
+            run_net_campaign(sample_net_campaign("net-2"), schedules=-1)

@@ -1,69 +1,92 @@
-"""Fuzzed net schedules checked against the linearizability spec."""
+"""Fuzzed net schedules checked against the linearizability spec.
+
+Random client workloads over the ABD emulation are chaos runs on the
+net substrate: :func:`run_net_campaign` samples one workload per run
+index and checks every register's history for linearizability.
+"""
 
 import pytest
 
-from repro.net import NetFuzzReport, fuzz_quorum_register
-from repro.net.fuzz import PLAN_KINDS, ScheduleOutcome
+from repro.chaos import Campaign, sample_net_campaign
+from repro.chaos.monitors import ChaosViolation
+from repro.chaos.runner import (
+    CampaignReport,
+    NetOutcome,
+    NetParams,
+    run_net,
+    run_net_campaign,
+    sample_net_workload,
+)
+
+PARAMS = NetParams()
+
+
+def _outcomes(campaign, schedules):
+    return [
+        run_net(campaign, sample_net_workload(campaign, str(i), PARAMS),
+                params=PARAMS, run_seed=str(i))
+        for i in range(schedules)
+    ]
 
 
 class TestCampaign:
     def test_two_rotations_are_linearizable(self):
-        report = fuzz_quorum_register(schedules=12, seed="tier1")
-        assert report.ok, report.summary()
-        assert len(report.outcomes) == 12
-        # The rotation covered every plan kind exactly twice.
-        assert [row[1] for row in report.by_plan()] == [2] * len(PLAN_KINDS)
-
-    def test_rotation_order_is_round_robin(self):
-        report = fuzz_quorum_register(schedules=len(PLAN_KINDS), seed=0)
-        assert tuple(o.plan for o in report.outcomes) == PLAN_KINDS
+        # The fault-free baseline and a client crashing mid-operation —
+        # the crash leaves pending invocations the checker must explain.
+        clean = Campaign(substrate="net", seed="tier1")
+        client_crash = Campaign(substrate="net", seed="tier1",
+                                crash_at=((0, 2.5),))
+        for campaign in (clean, client_crash):
+            report = run_net_campaign(campaign, schedules=6)
+            assert report.ok, report.failing
+            assert report.schedules_run == 6
+        assert sum(o.pending for o in _outcomes(clean, 6)) == 0
+        crashed = _outcomes(client_crash, 6)
+        assert all(o.ok for o in crashed)
+        assert sum(o.pending for o in crashed) > 0
 
     def test_campaign_is_deterministic(self):
-        first = fuzz_quorum_register(schedules=6, seed=42)
-        second = fuzz_quorum_register(schedules=6, seed=42)
-        assert first.outcomes == second.outcomes
+        campaign = sample_net_campaign(42)
+        assert _outcomes(campaign, 6) == _outcomes(campaign, 6)
 
     def test_different_seeds_draw_different_schedules(self):
-        a = fuzz_quorum_register(schedules=6, seed=1)
-        b = fuzz_quorum_register(schedules=6, seed=2)
-        assert a.outcomes != b.outcomes
+        a = _outcomes(sample_net_campaign(1), 6)
+        b = _outcomes(sample_net_campaign(2), 6)
+        assert a != b
 
     def test_schedules_exercise_real_operations(self):
-        report = fuzz_quorum_register(schedules=6, seed=7)
-        assert sum(o.operations for o in report.outcomes) > 0
-        # Client-crash schedules are the ones expected to leave pending
-        # invocations; the checker must have explained them (report.ok).
+        report = run_net_campaign(sample_net_campaign(7), schedules=6)
+        assert report.total_steps > 0  # completed object operations
         assert report.ok
-
-    def test_progress_callback_sees_every_outcome(self):
-        seen = []
-        report = fuzz_quorum_register(schedules=4, seed=0, progress=seen.append)
-        assert seen == report.outcomes
-
-    def test_summary_reports_per_plan_rows(self):
-        report = fuzz_quorum_register(schedules=6, seed=0)
-        text = report.summary()
-        assert "0 linearizability violations" in text
-        for kind in PLAN_KINDS:
-            assert kind in text
 
 
 class TestReportShape:
     def test_violations_filter(self):
-        good = ScheduleOutcome(0, "clean", True, 3, 0, "completed")
-        bad = ScheduleOutcome(1, "loss", False, 3, 0, "completed")
-        report = NetFuzzReport(seed=0, schedules=2, outcomes=[good, bad])
-        assert report.violations == [bad]
+        campaign = Campaign(substrate="net", seed="0")
+        bad = NetOutcome(
+            campaign=campaign, workload=((), ()), run_seed="1",
+            violations=[ChaosViolation("linearizability", "no order", 3)],
+        )
+        assert not bad.ok
+        report = CampaignReport(campaign=campaign, schedules_run=2,
+                                failing=bad)
         assert not report.ok
+        assert "'1'" in repr(report)
 
 
 @pytest.mark.slow
 class TestAcceptanceCampaign:
     def test_thousand_plus_schedules_stay_linearizable(self):
-        # The subsystem's acceptance bar: >= 1000 fuzzed schedules,
-        # including the crash-minority and delay-spike rotations.
-        report = fuzz_quorum_register(schedules=1008, seed="acceptance")
-        assert report.ok, report.summary()
-        by_plan = dict((kind, ran) for kind, ran, _ in report.by_plan())
-        assert by_plan["crash-minority"] == 168
-        assert by_plan["delay-spike"] == 168
+        # The subsystem's acceptance bar: >= 1000 chaos runs under
+        # crash-minority and delay-spike faults, all linearizable.
+        campaigns = [
+            sample_net_campaign(f"acceptance-{k}", faults=6) for k in range(8)
+        ]
+        assert all(c.spikes for c in campaigns)
+        assert any(c.crash_at for c in campaigns)  # a replica minority
+        runs = 0
+        for campaign in campaigns:
+            report = run_net_campaign(campaign, schedules=126)
+            assert report.ok, report.failing
+            runs += report.schedules_run
+        assert runs == 1008

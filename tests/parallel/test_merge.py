@@ -1,101 +1,85 @@
 """Merge determinism: sharded output must equal the sequential run."""
 
-from repro.chaos.plan import sample_sim_campaign
-from repro.chaos.runner import run_sim_campaign, sim_target
-from repro.net.fuzz import fuzz_quorum_register
+from repro.chaos import Campaign
+from repro.chaos.plan import sample_net_campaign, sample_sim_campaign
+from repro.chaos.runner import (
+    DEFAULT_MAX_STEPS,
+    NetParams,
+    _net_shard,
+    _sim_shard,
+    run_net_campaign,
+    run_sim,
+    run_sim_campaign,
+    sim_target,
+)
 from repro.parallel import (
     RunRecord,
+    Shard,
     WorkerPool,
     make_shards,
     merge_campaign_runs,
-    merge_counters,
-    merge_fuzz_results,
-    merge_net_reports,
 )
-from repro.sim import ops
-from repro.sim.registers import Register
-from repro.verify import InvariantProperty
-from repro.verify.fuzz import fuzz
 
-X = Register("mrg", 0)
-
-
-def _factories():
-    def prog(pid):
-        v = yield ops.read(X)
-        yield ops.write(X, v + 1)
-
-    return {0: prog, 1: prog}
+FISCHER = sim_target("fischer_n3")
+# Fault-free: the uniform random scheduler, i.e. plain schedule fuzzing.
+FUZZ = Campaign(substrate="sim", seed="mrg")
+PAYLOAD = ("fischer_n3", FUZZ, DEFAULT_MAX_STEPS, False)
 
 
-def _properties():
+def _shard_parts(total, workers):
     return [
-        InvariantProperty(
-            lambda sb: sb.memory.peek(X) < 2, name="x<2", message="x hit 2"
-        )
+        _sim_shard(shard, PAYLOAD)
+        for shard in make_shards(total, workers, master_seed=FUZZ.seed)
     ]
+
+
+def _same_report(merged, sequential):
+    assert merged.schedules_run == sequential.schedules_run
+    assert merged.total_steps == sequential.total_steps
+    assert merged.failing == sequential.failing
 
 
 class TestFuzzMerge:
     def test_sharded_slices_merge_to_the_sequential_result(self):
         """The core contract: any partition reproduces the one-shot run."""
-        sequential = fuzz(
-            _factories(), _properties(), schedules=40, seed=0,
-            stop_at_first_violation=False,
-        )
-        assert sequential.failures  # the property fires often; merge has work
+        sequential = run_sim_campaign(FISCHER, FUZZ, schedules=40)
+        assert not sequential.ok  # a find: the merge must truncate at it
         for workers in (1, 3, 7):
-            parts = [
-                fuzz(
-                    _factories(), _properties(),
-                    schedules=shard.count, first_index=shard.start, seed=0,
-                    stop_at_first_violation=False,
-                )
-                for shard in make_shards(40, workers)
-            ]
-            merged = merge_fuzz_results(parts)
-            assert merged == sequential, f"workers={workers}"
+            merged = merge_campaign_runs(FUZZ, _shard_parts(40, workers))
+            _same_report(merged, sequential)
 
     def test_failures_sorted_by_run_index_even_out_of_order(self):
-        parts = [
-            fuzz(
-                _factories(), _properties(),
-                schedules=shard.count, first_index=shard.start, seed=0,
-                stop_at_first_violation=False,
-            )
-            for shard in make_shards(40, 4)
-        ]
-        merged = merge_fuzz_results(list(reversed(parts)))
-        indices = [failure.run_index for failure in merged.failures]
-        assert indices == sorted(indices)
+        parts = _shard_parts(40, 4)
+        in_order = merge_campaign_runs(FUZZ, parts)
+        reversed_ = merge_campaign_runs(FUZZ, list(reversed(parts)))
+        _same_report(reversed_, in_order)
 
     def test_seed_keys_use_global_indices(self):
-        part = fuzz(
-            _factories(), _properties(),
-            schedules=10, first_index=30, seed=9,
-            stop_at_first_violation=False,
-        )
-        assert all(f.seed_key == f"9:{f.run_index}" for f in part.failures)
-        assert all(30 <= f.run_index < 40 for f in part.failures)
+        records = _sim_shard(Shard(index=0, start=30, stop=40), PAYLOAD)
+        assert [r.index for r in records] == list(range(30, 30 + len(records)))
+        for record in records:
+            outcome = run_sim(FISCHER, FUZZ, run_seed=str(record.index))
+            assert record.steps == outcome.steps
+            if record.outcome is not None:
+                assert record.outcome.run_seed == str(record.index)
 
 
 class TestNetMerge:
     def test_sharded_net_fuzz_merges_to_sequential(self):
-        sequential = fuzz_quorum_register(schedules=6, seed=5)
+        campaign = sample_net_campaign(5)
+        sequential = run_net_campaign(campaign, schedules=6)
         parts = [
-            fuzz_quorum_register(
-                schedules=shard.count, seed=5, first_index=shard.start
-            )
-            for shard in make_shards(6, 3)
+            _net_shard(shard, (campaign, NetParams(), False))
+            for shard in make_shards(6, 3, master_seed=campaign.seed)
         ]
-        merged = merge_net_reports(parts)
-        assert merged.schedules == sequential.schedules
-        assert merged.outcomes == sequential.outcomes
-        assert merged.by_plan() == sequential.by_plan()
+        merged = merge_campaign_runs(campaign, parts)
+        assert sequential.ok and merged.ok
+        _same_report(merged, sequential)
 
     def test_empty_parts(self):
-        merged = merge_net_reports([])
-        assert merged.schedules == 0 and merged.outcomes == []
+        merged = merge_campaign_runs(FUZZ, [])
+        assert merged.ok and merged.schedules_run == 0
+        assert merged.total_steps == 0 and merged.trace_chunks == []
 
 
 class TestCampaignMerge:
@@ -135,9 +119,3 @@ class TestCampaignMerge:
         assert parallel.total_steps == sequential.total_steps
         assert parallel.failing == sequential.failing
         assert parallel.shard_timing  # telemetry present, results untouched
-
-
-class TestCounters:
-    def test_merge_counters_sums_keywise(self):
-        merged = merge_counters([{"a": 1, "b": 2}, {"b": 3, "c": 4}])
-        assert merged == {"a": 1, "b": 5, "c": 4}

@@ -1,175 +1,163 @@
-"""Tests for the schedule fuzzer."""
+"""Schedule fuzzing: a chaos campaign with an empty fault plan.
+
+With no windows and no crashes the chaos scheduler picks uniformly among
+the enabled processes — the standard asynchronous adversary — so
+fuzzing a program means wrapping it in an ad-hoc :class:`SimTarget` and
+running :func:`run_sim_campaign` on ``Campaign(substrate="sim", ...)``.
+"""
 
 import pytest
 
-from repro.algorithms import FischerLock, mutex_session
+from repro.chaos import Campaign
+from repro.chaos.runner import SimTarget, run_sim, run_sim_campaign, sim_target
 from repro.core.consensus import TimeResilientConsensus, labeled_decision
-from repro.core.mutex import default_time_resilient_mutex
 from repro.sim import ops
+from repro.sim.failures import failure_window
 from repro.sim.registers import Register
 from repro.verify import (
     AgreementProperty,
     InvariantProperty,
-    MutualExclusionProperty,
     ValidityProperty,
-    fuzz,
     replay_schedule,
 )
 
 X = Register("fz", 0)
 
 
+def _writer(pid):
+    yield ops.write(X, pid)
+
+
+def _incrementer(pid):
+    v = yield ops.read(X)
+    yield ops.write(X, v + 1)
+
+
+def _target(program, properties=(), max_ops=200, pids=(0, 1)):
+    """An ad-hoc target: fresh factories and properties per run."""
+
+    def build():
+        return {pid: program for pid in pids}, list(properties), {"fz": X}
+
+    return SimTarget("adhoc", "ad-hoc fuzz target", build, max_ops=max_ops,
+                     pids=tuple(pids), expect_violation=False)
+
+
+def _x_below(bound):
+    return InvariantProperty(lambda sb: sb.memory.peek(X) < bound,
+                             name=f"x<{bound}", message=f"x hit {bound}")
+
+
+def _fuzz(target, schedules, seed):
+    return run_sim_campaign(target, Campaign(substrate="sim", seed=str(seed)),
+                            schedules=schedules)
+
+
 class TestMechanics:
     def test_counts_and_completion(self):
-        def prog(pid):
-            yield ops.write(X, pid)
-
-        res = fuzz({0: prog, 1: prog}, [], schedules=10, max_ops=5, seed=1)
-        assert res.ok
-        assert res.schedules_run == 10
-        assert res.completed_runs == 10
-        assert res.steps_taken == 20
+        target = _target(_writer, max_ops=5)
+        report = _fuzz(target, schedules=10, seed=1)
+        assert report.ok
+        assert report.schedules_run == 10
+        assert report.total_steps == 20
+        campaign = report.campaign
+        assert all(run_sim(target, campaign, run_seed=str(i)).done
+                   for i in range(10))
 
     def test_deterministic_per_seed(self):
-        def prog(pid):
-            v = yield ops.read(X)
-            yield ops.write(X, v + 1)
-
-        a = fuzz({0: prog, 1: prog}, [], schedules=5, seed=3)
-        b = fuzz({0: prog, 1: prog}, [], schedules=5, seed=3)
-        assert a.steps_taken == b.steps_taken
+        target = _target(_incrementer)
+        a = _fuzz(target, schedules=5, seed=3)
+        b = _fuzz(target, schedules=5, seed=3)
+        assert a.total_steps == b.total_steps
+        assert [run_sim(target, a.campaign, run_seed=str(i)).schedule
+                for i in range(5)] == \
+            [run_sim(target, b.campaign, run_seed=str(i)).schedule
+             for i in range(5)]
 
     def test_violation_schedule_replayable(self):
-        def prog(pid):
-            v = yield ops.read(X)
-            yield ops.write(X, v + 1)
-
-        prop = InvariantProperty(lambda sb: sb.memory.peek(X) < 2,
-                                 name="x<2", message="x hit 2")
-        res = fuzz({0: prog, 1: prog}, [prop], schedules=100, seed=0)
-        assert not res.ok
-        sb = replay_schedule({0: prog, 1: prog}, res.violations[0].schedule,
+        target = _target(_incrementer, [_x_below(2)])
+        report = _fuzz(target, schedules=100, seed=0)
+        assert not report.ok
+        schedule = report.failing.schedule
+        replayed = run_sim(target, report.campaign, schedule=list(schedule))
+        assert replayed.violations == report.failing.violations
+        sb = replay_schedule({0: _incrementer, 1: _incrementer}, schedule,
                              max_ops=200)
         assert sb.memory.peek(X) == 2
 
-    def test_bias_weights_respected_roughly(self):
-        def spinner(pid):
-            for _ in range(50):
-                yield ops.read(X)
-
-        res = fuzz({0: spinner, 1: spinner}, [], schedules=1, max_ops=50,
-                   seed=2, bias={0: 10.0, 1: 1.0})
-        # both ran to their op bound eventually; just a smoke check that
-        # biased scheduling doesn't break anything
-        assert res.steps_taken == 100
-
     def test_negative_schedules_rejected(self):
         with pytest.raises(ValueError):
-            fuzz({}, [], schedules=-1)
+            _fuzz(_target(_writer), schedules=-1, seed=0)
 
 
 class TestOnAlgorithms:
     def test_fischer_violation_found_by_fuzzing(self):
-        lock = FischerLock(delta=1.0)
-        factories = {
-            pid: (lambda p: mutex_session(lock, p, sessions=1, cs_duration=1.0))
-            for pid in range(3)  # three processes: beyond easy DFS
-        }
-        res = fuzz(factories, [MutualExclusionProperty()], schedules=500,
-                   max_ops=40, seed=4)
-        assert not res.ok
+        report = _fuzz(sim_target("fischer_n3"), schedules=500, seed=4)
+        assert not report.ok
+        assert report.failing.find("mutual_exclusion") is not None
 
     def test_alg3_survives_heavy_fuzzing_n4(self):
         """Four processes — out of exhaustive reach, easy for the fuzzer."""
-        lock = default_time_resilient_mutex(4, delta=1.0)
-        factories = {
-            pid: (lambda p: mutex_session(lock, p, sessions=1, cs_duration=1.0))
-            for pid in range(4)
-        }
-        res = fuzz(factories, [MutualExclusionProperty()], schedules=150,
-                   max_ops=120, seed=5)
-        assert res.ok, res.violations[:1]
+        report = _fuzz(sim_target("alg3_n4"), schedules=150, seed=5)
+        assert report.ok, report.failing
+        assert report.schedules_run == 150
 
     def test_consensus_safety_fuzzed_n4(self):
-        consensus = TimeResilientConsensus(delta=1.0, max_rounds=3)
-        inputs = {pid: pid % 2 for pid in range(4)}
-        factories = {
-            pid: (lambda p: labeled_decision(consensus.propose(p, inputs[p])))
-            for pid in inputs
-        }
-        res = fuzz(
-            factories,
-            [AgreementProperty(), ValidityProperty(inputs)],
-            schedules=150,
-            max_ops=80,
-            seed=6,
-        )
-        assert res.ok, res.violations[:1]
+        report = _fuzz(sim_target("consensus_n4"), schedules=150, seed=6)
+        assert report.ok, report.failing
+        assert report.schedules_run == 150
 
     def test_biased_fuzzing_emulates_slow_process(self):
-        """A 20x speed skew (the adversarial mix) still never breaks Alg 1."""
+        """The most skewed speed mix — pid 0 stalled for the whole run —
+        never breaks Algorithm 1."""
         consensus = TimeResilientConsensus(delta=1.0, max_rounds=3)
         inputs = {0: 0, 1: 1}
-        factories = {
-            pid: (lambda p: labeled_decision(consensus.propose(p, inputs[p])))
-            for pid in inputs
-        }
-        res = fuzz(
-            factories,
-            [AgreementProperty(), ValidityProperty(inputs)],
-            schedules=200,
-            max_ops=60,
-            seed=7,
-            bias={0: 20.0, 1: 1.0},
+
+        def build():
+            factories = {
+                pid: (lambda p: labeled_decision(consensus.propose(p, inputs[p])))
+                for pid in inputs
+            }
+            props = [AgreementProperty(), ValidityProperty(inputs)]
+            return factories, props, {}
+
+        target = SimTarget("alg1_n2", "Algorithm 1, 2 processes", build,
+                           max_ops=60, pids=(0, 1), expect_violation=False)
+        campaign = Campaign(
+            substrate="sim", seed="7",
+            windows=(failure_window(0.0, 1e9, pids=[0]),),
         )
-        assert res.ok
+        report = run_sim_campaign(target, campaign, schedules=200)
+        assert report.ok, report.failing
+        assert report.schedules_run == 200
+        # The stall is real: pid 0 only moves once pid 1 has finished.
+        outcome = run_sim(target, campaign, run_seed="0")
+        first_zero = outcome.schedule.index(0)
+        assert set(outcome.schedule[:first_zero]) == {1}
+        assert outcome.done
 
 
 class TestFailureCollection:
-    """Collect-all mode: every violation, each with its replay recipe."""
-
-    def _prog(self, pid):
-        v = yield ops.read(X)
-        yield ops.write(X, v + 1)
-
-    def test_collect_all_keeps_fuzzing_past_first_hit(self):
-        prop = InvariantProperty(lambda sb: sb.memory.peek(X) < 2,
-                                 name="x<2", message="x hit 2")
-        first = fuzz({0: self._prog, 1: self._prog}, [prop],
-                     schedules=50, seed=0)
-        both = fuzz({0: self._prog, 1: self._prog}, [prop],
-                    schedules=50, seed=0, stop_at_first_violation=False)
-        assert len(first.failures) == 1
-        assert first.schedules_run < 50
-        assert both.schedules_run == 50
-        assert len(both.failures) > 1
+    """Each found violation arrives once per run with its replay recipe."""
 
     def test_each_property_fires_at_most_once_per_run(self):
         # The broken state persists for the rest of the run; the report
         # must not flood with one violation per subsequent step.
-        prop = InvariantProperty(lambda sb: sb.memory.peek(X) < 1,
-                                 name="x<1", message="x hit 1")
-        res = fuzz({0: self._prog, 1: self._prog}, [prop],
-                   schedules=10, seed=0, stop_at_first_violation=False)
-        assert len(res.failures) == 10  # every run trips it exactly once
+        target = _target(_incrementer, [_x_below(1)])
+        campaign = Campaign(substrate="sim", seed="0")
+        for index in range(10):
+            outcome = run_sim(target, campaign, run_seed=str(index))
+            assert [v.monitor for v in outcome.violations] == ["x<1"]
 
     def test_failure_carries_seed_key_and_replayable_schedule(self):
-        prop = InvariantProperty(lambda sb: sb.memory.peek(X) < 2,
-                                 name="x<2", message="x hit 2")
-        res = fuzz({0: self._prog, 1: self._prog}, [prop],
-                   schedules=100, seed=7, stop_at_first_violation=False)
-        assert not res.ok
-        failure = res.failures[0]
-        assert failure.seed_key == f"7:{failure.run_index}"
-        hint = failure.replay_hint()
-        assert failure.seed_key in hint and "schedule=[" in hint
-        sb = replay_schedule({0: self._prog, 1: self._prog},
-                             failure.violation.schedule, max_ops=200)
+        target = _target(_incrementer, [_x_below(2)])
+        report = _fuzz(target, schedules=100, seed=7)
+        assert not report.ok
+        failing = report.failing
+        # The failing run is the last one run, seeded by its global index.
+        assert failing.run_seed == str(report.schedules_run - 1)
+        regenerated = run_sim(target, report.campaign, run_seed=failing.run_seed)
+        assert regenerated.schedule == failing.schedule
+        sb = replay_schedule({0: _incrementer, 1: _incrementer},
+                             failing.schedule, max_ops=200)
         assert sb.memory.peek(X) == 2
-
-    def test_violations_property_mirrors_failures(self):
-        prop = InvariantProperty(lambda sb: sb.memory.peek(X) < 2,
-                                 name="x<2", message="x hit 2")
-        res = fuzz({0: self._prog, 1: self._prog}, [prop],
-                   schedules=100, seed=0, stop_at_first_violation=False)
-        assert [f.violation for f in res.failures] == res.violations
