@@ -66,7 +66,7 @@ from ..verify.properties import (
     SafetyProperty,
     ValidityProperty,
 )
-from ..verify.sandbox import ProgramFactory, Sandbox, op_kind, op_register
+from ..verify.sandbox import ProgramFactory, Sandbox
 from .monitors import (
     ChaosMonitor,
     ChaosViolation,
@@ -435,6 +435,16 @@ def run_sim(
             # pending restart is strictly in the future: ceil advances.
             clock = max(clock, math.ceil(min(pending)))
 
+    def step(pid: int) -> None:
+        nonlocal clock
+        op = sandbox.pending_op(pid)
+        sandbox.step(pid)
+        recorded.append(pid)
+        clock += 1
+        if tracer is not None:
+            register = op.register.name if op.is_shared else None
+            tracer.op(op.kind, pid, register, float(clock - 1), float(clock))
+
     def check_monitors() -> bool:
         frozen_halted = frozenset(halted)
         for monitor in monitors:
@@ -459,16 +469,7 @@ def run_sim(
                 for p in runnable
                 if not any(w.affects(p, clock) for w in windows)
             ]
-            pid = rng.choice(free or runnable)
-            pending = sandbox.pending_op(pid) if tracer is not None else None
-            sandbox.step(pid)
-            recorded.append(pid)
-            clock += 1
-            if tracer is not None:
-                tracer.op(
-                    op_kind(pending), pid, op_register(pending),
-                    float(clock - 1), float(clock),
-                )
+            step(rng.choice(free or runnable))
             if check_monitors():
                 stopped = True
                 break
@@ -477,15 +478,7 @@ def run_sim(
             settle()
             if pid in halted or pid not in sandbox.enabled():
                 continue  # tolerant replay: skip unrunnable slots
-            pending = sandbox.pending_op(pid) if tracer is not None else None
-            sandbox.step(pid)
-            recorded.append(pid)
-            clock += 1
-            if tracer is not None:
-                tracer.op(
-                    op_kind(pending), pid, op_register(pending),
-                    float(clock - 1), float(clock),
-                )
+            step(pid)
             if check_monitors():
                 stopped = True
                 break
@@ -771,9 +764,9 @@ def _net_client(
 ):
     from ..spec.histories import INVOKE, RESPOND
 
-    for op_kind, reg_index, value in choices:
+    for kind, reg_index, value in choices:
         register = registers[reg_index]
-        if op_kind == "write":
+        if kind == "write":
             yield ops.label(INVOKE, (register.name, "write", (value,)))
             yield register.write(value)
             yield ops.label(RESPOND, (register.name, None))

@@ -27,7 +27,7 @@ from typing import Any, List, Optional
 from ..sim.engine import Engine, RunResult
 from ..sim.failures import CrashSchedule, MemoryFault
 from ..sim.instrument import EngineProbe
-from ..sim.ops import Broadcast, Op, Recv, Send
+from ..sim.ops import Op
 from ..sim.process import Process
 from ..sim.registers import Memory
 from ..sim.scheduler import TieBreak
@@ -101,34 +101,22 @@ class NetEngine(Engine):
             )
 
     def _duration_of(self, proc: Process, op: Op, now: float) -> float:
-        if isinstance(op, (Send, Broadcast)):
-            return self.send_cost
-        if isinstance(op, Recv):
-            return self.recv_cost
+        if op.is_message:
+            return self.recv_cost if op.kind == EventKind.RECV else self.send_cost
         return super()._duration_of(proc, op, now)
 
-    def _complete(self, proc: Process, op: Optional[Op], issued: float, now: float) -> None:
-        if isinstance(op, Send):
-            self.transport.send(proc.pid, op.dest, op.payload, now)
-            self._record(proc, EventKind.SEND, op.dest, op.payload, issued, now)
-            proc.total_ops += 1
-            self._resume(proc, None, now)
+    def _complete(self, proc: Process, op: Op, issued: float, now: float) -> None:
+        if not op.is_message:
+            super()._complete(proc, op, issued, now)
             return
-        if isinstance(op, Broadcast):
-            dests = op.dests if op.dests is not None else self.transport.peers(proc.pid)
-            for dest in dests:
-                self.transport.send(proc.pid, dest, op.payload, now)
-            self._record(proc, EventKind.SEND, tuple(dests), op.payload, issued, now)
-            proc.total_ops += 1
-            self._resume(proc, None, now)
-            return
-        if isinstance(op, Recv):
-            messages = self.transport.collect(proc.pid, now)
-            self._record(proc, EventKind.RECV, None, messages, issued, now)
-            proc.total_ops += 1
-            self._resume(proc, messages, now)
-            return
-        super()._complete(proc, op, issued, now)
+        result = op.apply(self.transport, proc.pid, now)
+        if op.kind == EventKind.RECV:
+            self._record(proc, EventKind.RECV, None, result, issued, now)
+        else:  # a send records its destination(s) in the register field
+            self._record(proc, EventKind.SEND, result, op.payload, issued, now)
+            result = None
+        proc.total_ops += 1
+        self._resume(proc, result, now)
 
     def run(self) -> RunResult:
         result = super().run()

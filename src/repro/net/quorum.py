@@ -44,6 +44,7 @@ from ..sim.failures import CrashSchedule
 from ..sim.process import Program
 from ..sim.scheduler import TieBreak
 from ..sim.timing import ConstantTiming, TimingModel
+from ..sim.trace import EventKind
 from . import resilience
 from .engine import NetEngine
 from .faults import NetFaultPlan
@@ -279,9 +280,11 @@ class QuorumSystem:
                     # Retire the replicas this client no longer needs.
                     yield ops.broadcast((_BYE, pid), dests=self.replica_pids)
                     return stop.value
-                if isinstance(op, ops.Read):
+                if not isinstance(op, ops.Op):
+                    raise TypeError(f"pid {pid} yielded a non-operation: {op!r}")
+                if op.kind == EventKind.READ:
                     send_value = yield from self.read(pid, op.register)
-                elif isinstance(op, ops.Write):
+                elif op.kind == EventKind.WRITE:
                     send_value = yield from self.write(pid, op.register, op.value)
                 elif op.is_shared:
                     raise TypeError(

@@ -22,8 +22,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..sim.ops import Delay, Label, LocalWork, Op, Read, ReadModifyWrite, Write
+from ..sim.ops import Op
 from ..sim.process import Program
+from ..sim.trace import EventKind
 from .registers import SharedStore
 
 __all__ = ["ThreadedExecutor", "ThreadedRunResult", "ThreadEvent"]
@@ -142,25 +143,18 @@ class ThreadedExecutor:
                         returns[pid] = stop.value
                         return
                     send_value = None
-                    if isinstance(op, Read):
-                        send_value = store.read(pid, op.register)
-                    elif isinstance(op, Write):
-                        store.write(pid, op.register, op.value)
-                    elif isinstance(op, ReadModifyWrite):
-                        send_value = store.rmw(pid, op.register, op.transform)
-                    elif isinstance(op, Delay):
-                        time.sleep(op.duration * time_unit)
-                    elif isinstance(op, LocalWork):
-                        if op.duration > 0:
-                            time.sleep(op.duration * time_unit)
-                    elif isinstance(op, Label):
+                    if not isinstance(op, Op) or op.is_message:
+                        raise TypeError(f"pid {pid} yielded a non-operation: {op!r}")
+                    if op.is_shared:
+                        send_value = store.apply(pid, op)
+                    elif op.kind == EventKind.LABEL:
                         with events_lock:
                             events.append(
-                                ThreadEvent(pid, op.kind, op.payload,
+                                ThreadEvent(pid, op.name, op.payload,
                                             time.monotonic())
                             )
-                    else:
-                        raise TypeError(f"pid {pid} yielded non-op {op!r}")
+                    elif op.kind == EventKind.DELAY or op.duration > 0:
+                        time.sleep(op.duration * time_unit)
             except BaseException as exc:  # noqa: BLE001 - reported to caller
                 errors[pid] = exc
 

@@ -1,10 +1,10 @@
 """Lock-protected atomic registers for the thread backend.
 
 CPython's GIL makes individual dict operations atomic in practice, but we
-do not rely on that implementation detail: a single lock around the store
-gives honest linearizability (each read/write has a linearization point
-inside the critical region) at negligible cost for our demonstration
-workloads.
+do not rely on that implementation detail: a single lock around the
+store's :class:`~repro.sim.registers.Memory` gives honest linearizability
+(each op's ``apply`` — the same one the simulator calls — runs inside the
+critical region) at negligible cost for our demonstration workloads.
 
 The store also timestamps every access with ``time.monotonic`` so the
 executor can *measure* the realized step-time bound — the empirical
@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Hashable, List, Set, Tuple
+from typing import Any, Dict, Hashable, List, Tuple
 
-from ..sim.registers import Register
+from ..sim.ops import Op
+from ..sim.registers import Memory, Register
 
 __all__ = ["SharedStore", "AccessRecord"]
 
@@ -53,52 +54,25 @@ class SharedStore:
 
     def __init__(self, record_accesses: bool = True) -> None:
         self._lock = threading.Lock()
-        self._store: Dict[Hashable, Any] = {}
-        self._touched: Set[Hashable] = set()
+        self._memory = Memory()
         self._record = record_accesses
         self._accesses: List[AccessRecord] = []
 
-    def read(self, pid: int, register: Register) -> Any:
+    def apply(self, pid: int, op: Op) -> Any:
+        """Linearize one shared op under the lock; returns its result."""
         started = time.monotonic()
         with self._lock:
-            value = self._store.get(register.name, register.initial)
-            self._touched.add(register.name)
+            result = op.apply(self._memory)
         finished = time.monotonic()
         if self._record:
-            self._log(pid, "read", register.name, started, finished)
-        return value
-
-    def write(self, pid: int, register: Register, value: Any) -> None:
-        started = time.monotonic()
-        with self._lock:
-            self._store[register.name] = value
-            self._touched.add(register.name)
-        finished = time.monotonic()
-        if self._record:
-            self._log(pid, "write", register.name, started, finished)
-
-    def rmw(self, pid: int, register: Register, transform: Any) -> Any:
-        """Atomically apply ``transform(old) -> (new, result)`` under the lock."""
-        started = time.monotonic()
-        with self._lock:
-            old = self._store.get(register.name, register.initial)
-            new, result = transform(old)
-            self._store[register.name] = new
-            self._touched.add(register.name)
-        finished = time.monotonic()
-        if self._record:
-            self._log(pid, "rmw", register.name, started, finished)
+            record = AccessRecord(pid, op.kind, op.register.name, started, finished)
+            with self._lock:
+                self._accesses.append(record)
         return result
-
-    def _log(self, pid: int, kind: str, name: Hashable,
-             started: float, finished: float) -> None:
-        record = AccessRecord(pid, kind, name, started, finished)
-        with self._lock:
-            self._accesses.append(record)
 
     def peek(self, register: Register) -> Any:
         with self._lock:
-            return self._store.get(register.name, register.initial)
+            return self._memory.peek(register)
 
     @property
     def accesses(self) -> List[AccessRecord]:
@@ -108,7 +82,7 @@ class SharedStore:
     @property
     def register_count(self) -> int:
         with self._lock:
-            return len(self._touched)
+            return self._memory.register_count
 
     def measured_delta(self) -> Tuple[float, float]:
         """(max, p99-ish) observed *inter-step* gap per process.

@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional
 from repro.obs.tracer import Tracer, active_tracer
 from repro.sim import ops
 from repro.sim.process import Program
+from repro.sim.trace import EventKind
 
 from .substrate import Substrate
 
@@ -132,55 +133,40 @@ class AsyncioDriver:
                 if tracer is not None:
                     tracer.done(pid, self.now())
                 return stop.value
-            if isinstance(op, ops.Recv):
-                send_value = substrate.collect(pid, self.now())
-                empty_poll = not send_value
+            if not isinstance(op, ops.Op):
+                raise TypeError(f"pid {pid} yielded a non-operation: {op!r}")
+            if op.is_message:
+                result = op.apply(substrate, pid, self.now())
+                received = op.kind == EventKind.RECV
+                send_value = result if received else None
+                empty_poll = received and not result
                 await asyncio.sleep(0)
-                continue
-            if isinstance(op, ops.Broadcast):
-                now = self.now()
-                dests = op.dests if op.dests is not None else substrate.peers(pid)
-                for dest in dests:
-                    substrate.send(pid, dest, op.payload, now)
-                send_value = None
-                empty_poll = False
-                await asyncio.sleep(0)
-                continue
-            if isinstance(op, ops.Send):
-                substrate.send(pid, op.dest, op.payload, self.now())
-                send_value = None
-                empty_poll = False
-                await asyncio.sleep(0)
-                continue
-            if isinstance(op, (ops.Delay, ops.LocalWork)):
-                duration = op.duration * scale
-                waiter = getattr(substrate, "wait_for_message", None)
-                if (
-                    self.eager_wakeup
-                    and empty_poll
-                    and isinstance(op, ops.Delay)
-                    and waiter is not None
-                ):
-                    await waiter(pid, duration)
-                elif duration > 0:
-                    await asyncio.sleep(duration)
-                else:
-                    await asyncio.sleep(0)
-                send_value = None
-                empty_poll = False
-                continue
-            if isinstance(op, ops.Label):
-                if tracer is not None:
-                    tracer.label(pid, op.kind, self.now())
-                send_value = None
-                empty_poll = False
                 continue
             if op.is_shared:
                 raise TypeError(
                     f"the live driver has no shared memory — wrap register "
                     f"programs with QuorumSystem.emulate_registers (got {op!r})"
                 )
-            raise TypeError(f"live driver cannot interpret {op!r}")
+            send_value = None
+            polling_nap, empty_poll = empty_poll, False
+            if op.kind == EventKind.LABEL:
+                if tracer is not None:
+                    tracer.label(pid, op.name, self.now())
+                continue
+            # Delay or local work: a real, scaled sleep.
+            duration = op.duration * scale
+            waiter = getattr(substrate, "wait_for_message", None)
+            if (
+                self.eager_wakeup
+                and polling_nap
+                and op.kind == EventKind.DELAY
+                and waiter is not None
+            ):
+                await waiter(pid, duration)
+            elif duration > 0:
+                await asyncio.sleep(duration)
+            else:
+                await asyncio.sleep(0)
 
     def __repr__(self) -> str:
         live = sum(1 for t in self.tasks.values() if not t.done())

@@ -36,7 +36,7 @@ from repro.obs.tracer import Tracer, active_tracer
 from .clock import VirtualClock
 from .failures import CrashSchedule, MemoryFault, RecoverSchedule
 from .instrument import EngineProbe, active_probe
-from .ops import Delay, Label, LocalWork, Op, Read, ReadModifyWrite, Write
+from .ops import Op
 from .process import Process, ProcessState, Program, ProgramFactory
 from .registers import Memory
 from .scheduler import FifoTieBreak, TieBreak
@@ -436,40 +436,31 @@ class Engine:
             self._tracer.restart(proc.pid, now)
         self._resume(proc, None, now)
 
-    def _complete(self, proc: Process, op: Optional[Op], issued: float, now: float) -> None:
+    def _complete(self, proc: Process, op: Op, issued: float, now: float) -> None:
         """Apply an in-flight operation's effect at its completion instant."""
-        send_value: Any = None
-        if isinstance(op, Read):
-            send_value = self.memory.read(op.register)
-            self._record_shared(proc, EventKind.READ, op.register.name, send_value, issued, now)
-        elif isinstance(op, Write):
-            self.memory.write(op.register, op.value)
-            self._record_shared(proc, EventKind.WRITE, op.register.name, op.value, issued, now)
-        elif isinstance(op, ReadModifyWrite):
-            send_value = self.memory.rmw(op.register, op.transform)
-            self._record_shared(
-                proc, EventKind.RMW, op.register.name, send_value, issued, now
-            )
-        elif isinstance(op, Delay):
-            self._record(proc, EventKind.DELAY, None, op.duration, issued, now)
-        elif isinstance(op, LocalWork):
-            self._record(proc, EventKind.LOCAL, None, op.duration, issued, now)
-        else:  # pragma: no cover - defensive
-            raise SimulationError(f"unexpected in-flight op {op!r}")
         proc.total_ops += 1
-        if isinstance(op, (Read, Write, ReadModifyWrite)):
-            proc.shared_steps += 1
-            self.total_shared_steps += 1
-            if proc.shared_steps >= proc.crash_step:
-                self._crash(proc, now)
-                return
-        self._resume(proc, send_value, now)
+        if not op.is_shared:  # delay or local work: time passed, no effect
+            self._record(proc, op.kind, None, op.duration, issued, now)
+            self._resume(proc, None, now)
+            return
+        result = op.apply(self.memory)
+        # A write records the value it stored, a read or RMW what it returned.
+        value = op.value if op.kind == EventKind.WRITE else result
+        self._record_shared(proc, op.kind, op.register.name, value, issued, now)
+        proc.shared_steps += 1
+        self.total_shared_steps += 1
+        if proc.shared_steps >= proc.crash_step:
+            self._crash(proc, now)
+            return
+        self._resume(proc, result, now)
 
     def _resume(self, proc: Process, send_value: Any, now: float) -> None:
         """Pull operations from the program until one consumes time."""
         for _ in range(_MAX_ZERO_DURATION_RUN):
             try:
                 op = proc.program.send(send_value)
+                if not isinstance(op, Op):
+                    raise TypeError(f"yielded a non-operation: {op!r}")
             except StopIteration as stop:
                 proc.state = ProcessState.DONE
                 proc.result = stop.value
@@ -494,7 +485,7 @@ class Engine:
                     f"process {proc.pid} ({proc.name}) raised {exc!r} at time {now}"
                 ) from exc
 
-            if isinstance(op, Label):
+            if op.kind == EventKind.LABEL:
                 self.trace.append(
                     TraceEvent(
                         seq=next(self._event_seq),
@@ -503,11 +494,11 @@ class Engine:
                         issued=now,
                         completed=now,
                         value=op.payload,
-                        label=op.kind,
+                        label=op.name,
                     )
                 )
                 if self._tracer is not None:
-                    self._tracer.label(proc.pid, op.kind, now)
+                    self._tracer.label(proc.pid, op.name, now)
                 proc.total_ops += 1
                 send_value = None
                 continue
@@ -528,7 +519,7 @@ class Engine:
         )
 
     def _duration_of(self, proc: Process, op: Op, now: float) -> float:
-        if isinstance(op, (Read, Write, ReadModifyWrite)):
+        if op.is_shared:
             ctx = StepContext(pid=proc.pid, op=op, now=now, step_index=proc.shared_steps)
             duration = self.timing.shared_step_duration(ctx)
             if duration <= 0:
@@ -536,7 +527,13 @@ class Engine:
                     f"timing model produced nonpositive step duration {duration}"
                 )
             return duration
-        if isinstance(op, Delay):
+        if op.is_message:
+            raise SimulationError(
+                f"process {proc.pid} ({proc.name}) yielded message op {op!r}; "
+                f"message operations need the network-aware engine "
+                f"(repro.net.NetEngine)"
+            )
+        if op.kind == EventKind.DELAY:
             duration = self.timing.delay_duration(proc.pid, op.duration, now)
             if duration < op.duration:
                 raise SimulationError(
@@ -544,22 +541,10 @@ class Engine:
                     f"last at least the requested time"
                 )
             return duration
-        if isinstance(op, LocalWork):
-            duration = self.timing.local_duration(proc.pid, op.duration, now)
-            if duration < 0:
-                raise SimulationError(
-                    f"local work duration must be >= 0, got {duration}"
-                )
-            return duration
-        if isinstance(op, Op) and op.is_message:
-            raise SimulationError(
-                f"process {proc.pid} ({proc.name}) yielded message op {op!r}; "
-                f"message operations need the network-aware engine "
-                f"(repro.net.NetEngine)"
-            )
-        raise SimulationError(
-            f"process {proc.pid} ({proc.name}) yielded a non-operation: {op!r}"
-        )
+        duration = self.timing.local_duration(proc.pid, op.duration, now)
+        if duration < 0:
+            raise SimulationError(f"local work duration must be >= 0, got {duration}")
+        return duration
 
     # -- trace recording ----------------------------------------------------------
 

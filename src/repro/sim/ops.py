@@ -1,35 +1,54 @@
-"""Operation vocabulary for simulated processes.
+"""Operation vocabulary for simulated processes — the one op kernel.
 
 A simulated process is a Python generator that *yields* operations and
-receives their results back through ``send``.  The same operation objects
-are interpreted by three different executors:
+receives their results back through ``send``.  This module is the only
+place op semantics are written down; every executor dispatches on the
+class attributes below and calls ``apply`` for an op's effect:
 
 * :class:`repro.sim.engine.Engine` — the discrete-event timing simulator,
   which charges each shared-memory operation a duration drawn from a
   :class:`repro.sim.timing.TimingModel`;
-* :class:`repro.verify.explorer.Explorer` — the model checker, which
-  explores interleavings of shared-memory operations under fully
-  asynchronous semantics (``Delay`` provides no guarantee there, which is
-  exactly the paper's notion of a timing failure);
-* :class:`repro.runtime.executor.ThreadedExecutor` — a real-thread backend.
+* :class:`repro.net.NetEngine` — the engine plus a message fabric, and
+  :meth:`repro.net.QuorumSystem.emulate_registers`, which turns register
+  ops into quorum phases on it;
+* :class:`repro.verify.sandbox.Sandbox` — the model checker's and chaos
+  runner's replayable asynchronous semantics (``Delay`` provides no
+  guarantee there, which is exactly the paper's notion of a timing
+  failure);
+* :class:`repro.runtime.executor.ThreadedExecutor` — a real-thread backend;
+* :class:`repro.serve.driver.AsyncioDriver` — real time and live sockets.
 
-Only :class:`Read` and :class:`Write` touch shared memory and are therefore
-"steps" in the sense of the paper's timing assumption (there is a known
-upper bound ``Δ`` on the time any single such step may take).  ``Delay`` is
-the paper's explicit ``delay(d)`` statement.  ``LocalWork`` consumes
-simulated time without touching shared memory (used to model critical
-sections and think times).  ``Label`` is a zero-duration annotation recorded
-in the trace, used by the specification checkers (e.g. critical-section
-entry and exit marks).
+Each op class declares ``kind`` (its :class:`repro.sim.trace.EventKind`
+and ``repro.obs`` op name), ``is_shared`` and ``is_message``.  Only
+:class:`Read`, :class:`Write` and :class:`ReadModifyWrite` touch shared
+memory and are therefore "steps" in the sense of the paper's timing
+assumption (there is a known upper bound ``Δ`` on the time any single
+such step may take); their ``apply(memory)`` is the one place their
+register effect is written.  The message ops' ``apply(fabric, pid, now)``
+does the same for any fabric with ``send``/``collect``/``peers`` (the
+emulated transport or a live substrate).  ``Delay`` is the paper's
+explicit ``delay(d)`` statement.  ``LocalWork`` consumes simulated time
+without touching shared memory (used to model critical sections and think
+times).  ``Label`` is a zero-duration annotation recorded in the trace,
+used by the specification checkers (e.g. critical-section entry and exit
+marks).
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Optional, Tuple, TYPE_CHECKING
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Hashable,
+    Iterable,
+    Optional,
+    Tuple,
+    TYPE_CHECKING,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from .registers import Register
+    from .registers import Memory, Register
 
 
 __all__ = [
@@ -63,26 +82,21 @@ __all__ = [
 
 
 class Op:
-    """Base class for everything a simulated process may yield."""
+    """Base class for everything a simulated process may yield.
+
+    ``kind`` is the op's trace event kind and ``repro.obs`` op name.
+    ``is_shared`` marks a shared-memory access (a "step").  ``is_message``
+    marks an op on the message substrate: the per-link delivery bound
+    plays the role the paper's ``Δ`` plays for shared-memory steps (see
+    :mod:`repro.net`), and the plain :class:`~repro.sim.engine.Engine`
+    rejects them.
+    """
 
     __slots__ = ()
 
-    @property
-    def is_shared(self) -> bool:
-        """True when the operation accesses shared memory (a "step")."""
-        return False
-
-    @property
-    def is_message(self) -> bool:
-        """True when the operation touches the message substrate.
-
-        Message operations are the networked analogue of shared steps:
-        the per-link delivery bound plays the role the paper's ``Δ``
-        plays for shared-memory steps (see :mod:`repro.net`).  Only the
-        network-aware engine (:class:`repro.net.NetEngine`) interprets
-        them; the plain :class:`~repro.sim.engine.Engine` rejects them.
-        """
-        return False
+    kind: ClassVar[str]
+    is_shared: ClassVar[bool] = False
+    is_message: ClassVar[bool] = False
 
 
 @dataclass(frozen=True)
@@ -93,9 +107,12 @@ class Read(Op):
 
     __slots__ = ("register",)
 
-    @property
-    def is_shared(self) -> bool:
-        return True
+    kind = "read"
+    is_shared = True
+
+    def apply(self, memory: "Memory") -> Any:
+        """Linearize; returns the value read."""
+        return memory.read(self.register)
 
     def __repr__(self) -> str:
         return f"Read({self.register.name!r})"
@@ -110,9 +127,12 @@ class Write(Op):
 
     __slots__ = ("register", "value")
 
-    @property
-    def is_shared(self) -> bool:
-        return True
+    kind = "write"
+    is_shared = True
+
+    def apply(self, memory: "Memory") -> None:
+        """Linearize; the process receives ``None``."""
+        memory.write(self.register, self.value)
 
     def __repr__(self) -> str:
         return f"Write({self.register.name!r}, {self.value!r})"
@@ -138,9 +158,12 @@ class ReadModifyWrite(Op):
     transform: "Callable[[Any], tuple]"
     name: str = "rmw"
 
-    @property
-    def is_shared(self) -> bool:
-        return True
+    kind = "rmw"
+    is_shared = True
+
+    def apply(self, memory: "Memory") -> Any:
+        """Linearize; returns ``result`` of ``transform(old)``."""
+        return memory.rmw(self.register, self.transform)
 
     def __repr__(self) -> str:
         return f"ReadModifyWrite({self.register.name!r}, {self.name})"
@@ -194,6 +217,8 @@ class Delay(Op):
 
     __slots__ = ("duration",)
 
+    kind = "delay"
+
     def __post_init__(self) -> None:
         if self.duration < 0:
             raise ValueError(f"delay duration must be >= 0, got {self.duration}")
@@ -211,6 +236,8 @@ class LocalWork(Op):
 
     __slots__ = ("duration",)
 
+    kind = "local"
+
     def __post_init__(self) -> None:
         if self.duration < 0:
             raise ValueError(f"local work duration must be >= 0, got {self.duration}")
@@ -220,16 +247,19 @@ class LocalWork(Op):
 class Label(Op):
     """A zero-duration trace annotation.
 
-    The specification checkers recognise the well-known kinds below
-    (``ENTRY_START``, ``CS_ENTER``, ...); arbitrary kinds may be used for
-    ad-hoc instrumentation.  ``payload`` travels with the trace event.
+    The specification checkers recognise the well-known names below
+    (``ENTRY_START``, ``CS_ENTER``, ...); arbitrary names may be used for
+    ad-hoc instrumentation.  ``name`` becomes the trace event's ``label``
+    and ``payload`` travels with it.
     """
 
     # No __slots__ here: dataclass fields with defaults store a class
     # attribute, which conflicts with same-named slots on Python < 3.10's
     # dataclass (no ``slots=True``); Labels are rare enough not to matter.
-    kind: str
+    name: str
     payload: Optional[Hashable] = None
+
+    kind = "label"
 
 
 @dataclass(frozen=True)
@@ -248,9 +278,13 @@ class Send(Op):
 
     __slots__ = ("dest", "payload")
 
-    @property
-    def is_message(self) -> bool:
-        return True
+    kind = "send"
+    is_message = True
+
+    def apply(self, fabric: Any, pid: int, now: float) -> int:
+        """Hand the message to ``fabric``; returns the destination."""
+        fabric.send(pid, self.dest, self.payload, now)
+        return self.dest
 
     def __repr__(self) -> str:
         return f"Send(to={self.dest}, {self.payload!r})"
@@ -273,9 +307,15 @@ class Broadcast(Op):
     # which conflicts with same-named slots before Python 3.10 (same
     # trade-off as Label above).
 
-    @property
-    def is_message(self) -> bool:
-        return True
+    kind = "send"
+    is_message = True
+
+    def apply(self, fabric: Any, pid: int, now: float) -> Tuple[int, ...]:
+        """Hand one copy per destination to ``fabric``; returns them."""
+        dests = self.dests if self.dests is not None else fabric.peers(pid)
+        for dest in dests:
+            fabric.send(pid, dest, self.payload, now)
+        return tuple(dests)
 
     def __repr__(self) -> str:
         to = "all" if self.dests is None else f"{list(self.dests)}"
@@ -294,15 +334,18 @@ class Recv(Op):
 
     __slots__ = ()
 
-    @property
-    def is_message(self) -> bool:
-        return True
+    kind = "recv"
+    is_message = True
+
+    def apply(self, fabric: Any, pid: int, now: float) -> Any:
+        """Returns the ``(sender, payload)`` pairs delivered by ``now``."""
+        return fabric.collect(pid, now)
 
     def __repr__(self) -> str:
         return "Recv()"
 
 
-# Well-known label kinds used by the mutual-exclusion and consensus
+# Well-known label names used by the mutual-exclusion and consensus
 # specification checkers.
 ENTRY_START = "entry_start"
 CS_ENTER = "cs_enter"
@@ -331,9 +374,9 @@ def local_work(duration: float) -> LocalWork:
     return LocalWork(duration)
 
 
-def label(kind: str, payload: Optional[Hashable] = None) -> Label:
+def label(name: str, payload: Optional[Hashable] = None) -> Label:
     """Convenience constructor for trace annotations."""
-    return Label(kind, payload)
+    return Label(name, payload)
 
 
 def send(dest: int, payload: Any) -> Send:

@@ -24,6 +24,8 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, Hashable, Iterable, Iterator, Optional, Set, Tuple
 
+from .ops import Read, Write
+
 __all__ = ["Register", "Array", "Memory", "RegisterNamespace"]
 
 
@@ -42,17 +44,13 @@ class Register:
         self.name = name
         self.initial = initial
 
-    def read(self) -> "ops_module.Read":
+    def read(self) -> Read:
         """Build a read operation: ``value = yield reg.read()``."""
-        from . import ops as ops_module
+        return Read(self)
 
-        return ops_module.Read(self)
-
-    def write(self, value: Any) -> "ops_module.Write":
+    def write(self, value: Any) -> Write:
         """Build a write operation: ``yield reg.write(v)``."""
-        from . import ops as ops_module
-
-        return ops_module.Write(self, value)
+        return Write(self, value)
 
     def __repr__(self) -> str:
         return f"Register({self.name!r}, initial={self.initial!r})"

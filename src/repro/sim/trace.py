@@ -32,20 +32,24 @@ __all__ = ["EventKind", "TraceEvent", "Trace", "CsInterval"]
 
 
 class EventKind:
-    """String constants for :attr:`TraceEvent.kind`."""
+    """String constants for :attr:`TraceEvent.kind`.
 
-    READ = "read"
-    WRITE = "write"
-    RMW = "rmw"
-    DELAY = "delay"
-    LOCAL = "local"
-    LABEL = "label"
+    An op's event kind is the ``kind`` its class declares in
+    :mod:`repro.sim.ops`; the rest are lifecycle events.
+    """
+
+    READ = op_kinds.Read.kind
+    WRITE = op_kinds.Write.kind
+    RMW = op_kinds.ReadModifyWrite.kind
+    DELAY = op_kinds.Delay.kind
+    LOCAL = op_kinds.LocalWork.kind
+    LABEL = op_kinds.Label.kind
+    SEND = op_kinds.Send.kind  # message handed to the network (repro.net)
+    RECV = op_kinds.Recv.kind  # messages collected from the network (repro.net)
     CRASH = "crash"
     RESTART = "restart"  # crash-recovery: fresh program, persistent registers
     DONE = "done"
     FAULT = "fault"  # injected memory corruption (MemoryFault)
-    SEND = "send"  # message handed to the network (repro.net)
-    RECV = "recv"  # messages collected from the network (repro.net)
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,7 @@ class TraceEvent:
     completed: float
     register: Optional[Hashable] = None
     value: Any = None  # value written, read, or the label payload
-    label: Optional[str] = None  # label kind for LABEL events
+    label: Optional[str] = None  # the Label's name for LABEL events
     exceeded_delta: bool = False
 
     @property

@@ -32,7 +32,7 @@ __all__ = [
     "RESPOND",
 ]
 
-# Label kinds for object-operation instrumentation.
+# Label names for object-operation instrumentation.
 INVOKE = "obj_invoke"
 RESPOND = "obj_respond"
 

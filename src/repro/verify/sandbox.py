@@ -35,10 +35,11 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from ..sim import ops as op_defs
-from ..sim.ops import Delay, Label, LocalWork, Op, Read, ReadModifyWrite, Write
+from ..sim.ops import Label, Op
 from ..sim.registers import Memory, _freeze
+from ..sim.trace import EventKind
 
-__all__ = ["Sandbox", "ProgramFactory", "op_kind", "op_register"]
+__all__ = ["Sandbox", "ProgramFactory"]
 
 # A factory producing a fresh program for a pid (replays need fresh
 # generators every time).
@@ -52,29 +53,6 @@ _MAX_NONSHARED_RUN = 10_000
 # value can equal it (``_freeze`` never produces this tuple), so restarted
 # histories stay distinct from unrestarted ones — fingerprint soundness.
 _RESTART_MARK = ("__restart__",)
-
-
-def op_kind(op: Optional[Op]) -> str:
-    """Trace-op name for a pending op (see :meth:`Sandbox.pending_op`).
-
-    Vocabulary for tracing logical-clock steps (:mod:`repro.chaos.runner`):
-    the returned string is the ``op`` field of a ``repro.obs`` op record.
-    """
-    if isinstance(op, Read):
-        return "read"
-    if isinstance(op, Write):
-        return "write"
-    if isinstance(op, ReadModifyWrite):
-        return "rmw"
-    if isinstance(op, LocalWork):
-        return "local"
-    return "step"
-
-
-def op_register(op: Optional[Op]) -> Optional[str]:
-    """Register name a pending op touches, or ``None`` (pause points)."""
-    register = getattr(op, "register", None)
-    return register.name if register is not None else None
 
 
 class Sandbox:
@@ -128,23 +106,14 @@ class Sandbox:
         if self._op_count[pid] >= self.max_ops:
             raise ValueError(f"pid {pid} is suspended at the op bound")
         self._op_count[pid] += 1
-        if isinstance(op, Read):
-            value = self.memory.read(op.register)
-            self._read_history[pid].append(_freeze(value))
-            self._advance(pid, value)
-        elif isinstance(op, Write):
-            self.memory.write(op.register, op.value)
-            self._advance(pid, None)
-        elif isinstance(op, ReadModifyWrite):
-            result = self.memory.rmw(op.register, op.transform)
-            # An RMW's result re-enters the program like a read's value, so
-            # it must join the read history for fingerprint soundness.
-            self._read_history[pid].append(_freeze(result))
-            self._advance(pid, result)
-        elif isinstance(op, LocalWork):
-            self._advance(pid, None)  # the pause ends; no memory effect
-        else:  # pragma: no cover - _advance parks only Read/Write/LocalWork
-            raise AssertionError(f"pending op must be steppable, got {op!r}")
+        result = None
+        if op.is_shared:  # else a pause ends: no memory effect
+            result = op.apply(self.memory)
+            if op.kind != EventKind.WRITE:
+                # A read's or RMW's result re-enters the program, so it must
+                # join the read history for fingerprint soundness.
+                self._read_history[pid].append(_freeze(result))
+        self._advance(pid, result)
 
     def _advance(self, pid: int, send_value: Any) -> None:
         """Run ``pid`` forward to its next shared op (or to completion)."""
@@ -157,18 +126,14 @@ class Sandbox:
                 self._done[pid] = True
                 self._results[pid] = stop.value
                 return
-            if isinstance(op, (Read, Write, ReadModifyWrite)):
-                self._pending[pid] = op
-                return
-            if isinstance(op, LocalWork) and op.duration > 0:
-                self._pending[pid] = op  # pause point (e.g. the CS body)
-                return
-            if isinstance(op, Label):
-                self._observe_label(pid, op)
-            elif isinstance(op, (Delay, LocalWork)):
-                pass  # no guarantee under asynchrony: skip
-            else:
+            if not isinstance(op, Op) or op.is_message:
                 raise TypeError(f"pid {pid} yielded a non-operation: {op!r}")
+            if op.is_shared or (op.kind == EventKind.LOCAL and op.duration > 0):
+                self._pending[pid] = op  # a step, or a pause point (the CS body)
+                return
+            if op.kind == EventKind.LABEL:
+                self._observe_label(pid, op)
+            # Delays and zero local work: no guarantee under asynchrony, skip.
             send_value = None
         raise RuntimeError(
             f"pid {pid} executed {_MAX_NONSHARED_RUN} consecutive non-shared "
@@ -176,14 +141,14 @@ class Sandbox:
         )
 
     def _observe_label(self, pid: int, label: Label) -> None:
-        self.labels_seen.append((pid, label.kind, label.payload))
-        if label.kind == op_defs.CS_ENTER:
+        self.labels_seen.append((pid, label.name, label.payload))
+        if label.name == op_defs.CS_ENTER:
             if pid in self.in_cs:
                 raise RuntimeError(f"pid {pid} entered CS twice without exiting")
             self.in_cs.add(pid)
-        elif label.kind == op_defs.CS_EXIT:
+        elif label.name == op_defs.CS_EXIT:
             self.in_cs.discard(pid)
-        elif label.kind == op_defs.DECIDED:
+        elif label.name == op_defs.DECIDED:
             self.decisions.setdefault(pid, label.payload)
 
     def restart(self, pid: int, factory: ProgramFactory) -> None:

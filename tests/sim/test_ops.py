@@ -47,7 +47,7 @@ def test_delay_zero_allowed():
 
 def test_label_payload_default_none():
     lbl = ops.label(ops.DECIDED)
-    assert lbl.kind == ops.DECIDED
+    assert lbl.name == ops.DECIDED
     assert lbl.payload is None
 
 
