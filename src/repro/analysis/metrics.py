@@ -1,4 +1,4 @@
-"""Measurement helpers shared by the experiments and benchmarks.
+"""Measurement helpers shared by the experiments and their shape tests.
 
 Everything here reads finished traces/runs; nothing re-runs anything.
 Units: times are in the trace's native time units; ``*_in_deltas`` helpers
@@ -117,7 +117,7 @@ def rmr_count(trace: Trace, pid: Optional[int] = None) -> int:
       retains one);
     * every RMW is remote (it behaves like a write).
 
-    This lets the benchmarks show, e.g., that the bakery's await loops are
+    This lets the X3 table show, e.g., that the bakery's await loops are
     mostly local spinning while its doorway scan is Θ(n) remote.
     """
     holders: Dict[Hashable, Set[int]] = {}

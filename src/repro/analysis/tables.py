@@ -2,7 +2,7 @@
 
 Each experiment driver returns an :class:`ExperimentTable`; the harness
 prints it (fixed-width, matching the rows EXPERIMENTS.md records) and the
-benchmarks assert on its cells.
+shape tests assert on its cells.
 """
 
 from __future__ import annotations

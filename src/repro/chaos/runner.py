@@ -59,7 +59,9 @@ from typing import (
 from repro.obs.tracer import active_tracer
 
 from ..sim import ops
+from ..sim.engine import FAULT_PID
 from ..sim.registers import Register
+from ..sim.trace import EventKind, TraceEvent
 from ..verify.properties import (
     AgreementProperty,
     MutualExclusionProperty,
@@ -375,13 +377,17 @@ def run_sim(
     halted: set = set()
     inf = math.inf
 
+    def trace_instant(pid: int, kind: str, register: Any = None) -> None:
+        if tracer is not None:
+            t = float(clock)
+            tracer.event(TraceEvent(clock, pid, kind, t, t, register))
+
     def apply_corruptions() -> None:
         nonlocal next_corruption
         while next_corruption < len(corruptions) and corruptions[next_corruption].at <= clock:
             corruption = corruptions[next_corruption]
             sandbox.memory.poke(registers[corruption.register], corruption.value)
-            if tracer is not None:
-                tracer.fault(corruption.register, float(clock))
+            trace_instant(FAULT_PID, EventKind.FAULT, corruption.register)
             next_corruption += 1
 
     def apply_recoveries() -> None:
@@ -399,8 +405,7 @@ def run_sim(
             crash_at.pop(pid, None)
             crash_after.pop(pid, None)
             sandbox.restart(pid, factories[pid])
-            if tracer is not None:
-                tracer.restart(pid, float(clock))
+            trace_instant(pid, EventKind.RESTART)
 
     def refresh_halted() -> None:
         for pid in sandbox.enabled():
@@ -408,8 +413,7 @@ def run_sim(
                 continue
             if clock >= crash_at.get(pid, inf) or sandbox.op_count(pid) >= crash_after.get(pid, inf):
                 halted.add(pid)
-                if tracer is not None:
-                    tracer.crash(pid, float(clock))
+                trace_instant(pid, EventKind.CRASH)
 
     def settle() -> None:
         # Fault bookkeeping before scheduling: corruptions and restarts
@@ -443,7 +447,9 @@ def run_sim(
         clock += 1
         if tracer is not None:
             register = op.register.name if op.is_shared else None
-            tracer.op(op.kind, pid, register, float(clock - 1), float(clock))
+            tracer.event(TraceEvent(
+                clock, pid, op.kind, float(clock - 1), float(clock), register
+            ))
 
     def check_monitors() -> bool:
         frozen_halted = frozenset(halted)
@@ -498,10 +504,9 @@ def run_sim(
             for monitor in monitors
             if getattr(monitor, "verdict", None) is not None
         ]
-    if tracer is not None:
-        for pid in sorted(factories):
-            if sandbox.done(pid):
-                tracer.done(pid, float(clock))
+    for pid in sorted(factories):
+        if sandbox.done(pid):
+            trace_instant(pid, EventKind.DONE)
     return SimOutcome(
         campaign=campaign,
         schedule=tuple(recorded),

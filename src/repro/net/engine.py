@@ -111,9 +111,12 @@ class NetEngine(Engine):
             return
         result = op.apply(self.transport, proc.pid, now)
         if op.kind == EventKind.RECV:
-            self._record(proc, EventKind.RECV, None, result, issued, now)
+            self._emit(proc.pid, EventKind.RECV, issued, now, value=result)
         else:  # a send records its destination(s) in the register field
-            self._record(proc, EventKind.SEND, result, op.payload, issued, now)
+            self._emit(
+                proc.pid, EventKind.SEND, issued, now,
+                register=result, value=op.payload,
+            )
             result = None
         proc.total_ops += 1
         self._resume(proc, result, now)

@@ -13,8 +13,8 @@ Tracing follows the probe's contract exactly:
 * **off by default and free when off** — an :class:`~repro.sim.Engine`
   holds ``_tracer = None`` unless one was passed explicitly or a
   :func:`trace_scope` is active when the engine (or its transport) is
-  built, and every emission site guards behind a cached
-  ``tracer is not None`` check;
+  built, and every emission site guards behind a ``tracer is not None``
+  check (an engine has one such site, ``Engine._emit``);
 * **pure observation** — an attached tracer never touches the RNGs, the
   heap, or any scheduling decision, so a traced run is bit-identical to
   an untraced one (the ``obs/trace_overhead`` bench scenario and the
@@ -30,7 +30,13 @@ Two ways to attach, mirroring the probe::
     with trace_scope(tracer):                           # ambient
         run_e5()    # every Engine/Transport built inside reports here
 
-Record vocabulary (``kind`` field; every record is a plain dict):
+Record vocabulary (``kind`` field; every record is a plain dict).  The
+step records — ``op``, ``label``, ``crash``, ``restart``, ``done`` and
+``fault`` — are renderings of a :class:`~repro.sim.trace.TraceEvent`
+by :meth:`Tracer.event`: ``t0``/``t1`` are its ``issued``/``completed``,
+``t`` is ``completed``, ``reg`` its ``register`` and ``xd`` its
+``exceeded_delta``.  All other records are harness-only and have no
+trace counterpart.
 
 =========  =============================================================
 ``run``    harness-level run marker: ``substrate`` (``sim`` — timed
@@ -64,7 +70,10 @@ Record vocabulary (``kind`` field; every record is a plain dict):
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+
+if TYPE_CHECKING:  # repro.sim.engine imports this module: no runtime import
+    from repro.sim.trace import TraceEvent
 
 __all__ = [
     "Tracer",
@@ -169,37 +178,30 @@ class Tracer:
              "pids": sorted(pids)}
         )
 
-    def op(
-        self,
-        op: str,
-        pid: int,
-        reg: Any,
-        t0: float,
-        t1: float,
-        xd: bool = False,
-    ) -> None:
-        self.records.append(
-            {"kind": "op", "op": op, "pid": pid,
-             "reg": canonical(register_name(reg)),
-             "t0": t0, "t1": t1, "xd": xd}
-        )
+    def event(self, event: "TraceEvent") -> None:
+        """Render one :class:`~repro.sim.trace.TraceEvent` as its record.
 
-    def label(self, pid: int, label: str, t: float) -> None:
-        self.records.append({"kind": "label", "pid": pid, "label": label, "t": t})
-
-    def crash(self, pid: int, t: float) -> None:
-        self.records.append({"kind": "crash", "pid": pid, "t": t})
-
-    def restart(self, pid: int, t: float) -> None:
-        self.records.append({"kind": "restart", "pid": pid, "t": t})
-
-    def done(self, pid: int, t: float) -> None:
-        self.records.append({"kind": "done", "pid": pid, "t": t})
-
-    def fault(self, reg: Any, t: float) -> None:
-        self.records.append(
-            {"kind": "fault", "reg": canonical(register_name(reg)), "t": t}
-        )
+        Steps (and delays, local work, messages) become ``op`` spans
+        over ``[issued, completed]``; lifecycle events become instants at
+        ``completed``.  ``seq`` is not rendered — record order is the
+        sequence.
+        """
+        kind = event.kind
+        record: Dict[str, Any]
+        if kind == "label":
+            record = {"kind": kind, "pid": event.pid, "label": event.label,
+                      "t": event.completed}
+        elif kind in ("crash", "restart", "done"):
+            record = {"kind": kind, "pid": event.pid, "t": event.completed}
+        elif kind == "fault":
+            record = {"kind": kind, "reg": canonical(register_name(event.register)),
+                      "t": event.completed}
+        else:
+            record = {"kind": "op", "op": kind, "pid": event.pid,
+                      "reg": canonical(register_name(event.register)),
+                      "t0": event.issued, "t1": event.completed,
+                      "xd": event.exceeded_delta}
+        self.records.append(record)
 
     def msg_send(self, msg_id: int, src: int, dst: int, t: float, arrive: float) -> None:
         self.records.append(

@@ -105,15 +105,13 @@ class ThreadedExecutor:
         Wall-clock seconds per simulated time unit: ``delay(d)`` sleeps
         ``d * time_unit``.  Keep it small (default 1 ms) so tests finish
         quickly; the algorithms' safety cannot depend on it.
-    record_accesses:
-        Keep per-access timestamps for Δ measurement (small overhead).
     """
 
-    def __init__(self, time_unit: float = 1e-3, record_accesses: bool = True) -> None:
+    def __init__(self, time_unit: float = 1e-3) -> None:
         if time_unit <= 0:
             raise ValueError(f"time_unit must be positive, got {time_unit}")
         self.time_unit = time_unit
-        self.store = SharedStore(record_accesses=record_accesses)
+        self.store = SharedStore()
         self._programs: Dict[int, Program] = {}
 
     def spawn(self, program: Program, pid: Optional[int] = None) -> int:

@@ -52,10 +52,9 @@ class AccessRecord:
 class SharedStore:
     """Thread-safe register storage with access timestamps."""
 
-    def __init__(self, record_accesses: bool = True) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._memory = Memory()
-        self._record = record_accesses
         self._accesses: List[AccessRecord] = []
 
     def apply(self, pid: int, op: Op) -> Any:
@@ -64,20 +63,14 @@ class SharedStore:
         with self._lock:
             result = op.apply(self._memory)
         finished = time.monotonic()
-        if self._record:
-            record = AccessRecord(pid, op.kind, op.register.name, started, finished)
-            with self._lock:
-                self._accesses.append(record)
+        record = AccessRecord(pid, op.kind, op.register.name, started, finished)
+        with self._lock:
+            self._accesses.append(record)
         return result
 
     def peek(self, register: Register) -> Any:
         with self._lock:
             return self._memory.peek(register)
-
-    @property
-    def accesses(self) -> List[AccessRecord]:
-        with self._lock:
-            return list(self._accesses)
 
     @property
     def register_count(self) -> int:

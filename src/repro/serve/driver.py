@@ -35,12 +35,13 @@ between a simulated run and a live one — only the driver differs.
 from __future__ import annotations
 
 import asyncio
+import itertools
 from typing import Any, Dict, List, Optional
 
 from repro.obs.tracer import Tracer, active_tracer
 from repro.sim import ops
 from repro.sim.process import Program
-from repro.sim.trace import EventKind
+from repro.sim.trace import EventKind, TraceEvent
 
 from .substrate import Substrate
 
@@ -80,6 +81,7 @@ class AsyncioDriver:
         self.eager_wakeup = eager_wakeup
         self.tasks: Dict[int, "asyncio.Task"] = {}
         self.returns: Dict[int, Any] = {}
+        self._event_seq = itertools.count()
         self._clock = getattr(substrate, "clock", None)
         if self.tracer is not None and self._clock is not None:
             self.tracer.bind_clock(self._clock)
@@ -131,7 +133,11 @@ class AsyncioDriver:
             except StopIteration as stop:
                 self.returns[pid] = stop.value
                 if tracer is not None:
-                    tracer.done(pid, self.now())
+                    t = self.now()
+                    tracer.event(TraceEvent(
+                        next(self._event_seq), pid, EventKind.DONE, t, t,
+                        value=stop.value,
+                    ))
                 return stop.value
             if not isinstance(op, ops.Op):
                 raise TypeError(f"pid {pid} yielded a non-operation: {op!r}")
@@ -151,7 +157,11 @@ class AsyncioDriver:
             polling_nap, empty_poll = empty_poll, False
             if op.kind == EventKind.LABEL:
                 if tracer is not None:
-                    tracer.label(pid, op.name, self.now())
+                    t = self.now()
+                    tracer.event(TraceEvent(
+                        next(self._event_seq), pid, EventKind.LABEL, t, t,
+                        value=op.payload, label=op.name,
+                    ))
                 continue
             # Delay or local work: a real, scaled sleep.
             duration = op.duration * scale

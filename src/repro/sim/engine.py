@@ -290,9 +290,8 @@ class Engine:
         if self._ran:
             raise RuntimeError("Engine.run() may only be called once")
         self._ran = True
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.engine_run(
+        if self._tracer is not None:
+            self._tracer.engine_run(
                 self._TRACE_SUBSTRATE, self.delta, list(self.processes)
             )
         status = RunStatus.COMPLETED
@@ -329,23 +328,18 @@ class Engine:
                 advance_to(time)
                 fault: MemoryFault = payload
                 self.memory.poke(fault.register, fault.value)
-                self.trace.append(
-                    TraceEvent(
-                        seq=next(self._event_seq),
-                        pid=FAULT_PID,
-                        kind=EventKind.FAULT,
-                        issued=time,
-                        completed=time,
-                        register=fault.register.name,
-                        value=fault.value,
-                    )
+                self._emit(
+                    FAULT_PID, EventKind.FAULT, time, time,
+                    register=fault.register.name, value=fault.value,
                 )
-                if tracer is not None:
-                    tracer.fault(fault.register.name, time)
                 continue
             proc = processes[pid]
             if action == _CRASH:
-                if payload == proc.incarnation:
+                # A stale crash (the process already finished, or it
+                # belongs to an incarnation that died before a restart)
+                # must not move time.
+                if proc.alive and payload == proc.incarnation:
+                    advance_to(time)
                     self._crash(proc, time)
                 continue
             if action == _RESTART:
@@ -389,21 +383,9 @@ class Engine:
         self._resume(proc, None, now)
 
     def _crash(self, proc: Process, now: float) -> None:
-        if not proc.alive:
-            return
         proc.state = ProcessState.CRASHED
         proc.finished_at = now
-        self.trace.append(
-            TraceEvent(
-                seq=next(self._event_seq),
-                pid=proc.pid,
-                kind=EventKind.CRASH,
-                issued=now,
-                completed=now,
-            )
-        )
-        if self._tracer is not None:
-            self._tracer.crash(proc.pid, now)
+        self._emit(proc.pid, EventKind.CRASH, now, now)
         proc.program.close()
 
     def _restart(self, proc: Process, now: float) -> None:
@@ -422,31 +404,24 @@ class Engine:
         proc.finished_at = None
         proc.crash_time = math.inf
         proc.crash_step = math.inf
-        self.trace.append(
-            TraceEvent(
-                seq=next(self._event_seq),
-                pid=proc.pid,
-                kind=EventKind.RESTART,
-                issued=now,
-                completed=now,
-                value=proc.incarnation,
-            )
-        )
-        if self._tracer is not None:
-            self._tracer.restart(proc.pid, now)
+        self._emit(proc.pid, EventKind.RESTART, now, now, value=proc.incarnation)
         self._resume(proc, None, now)
 
     def _complete(self, proc: Process, op: Op, issued: float, now: float) -> None:
         """Apply an in-flight operation's effect at its completion instant."""
         proc.total_ops += 1
         if not op.is_shared:  # delay or local work: time passed, no effect
-            self._record(proc, op.kind, None, op.duration, issued, now)
+            self._emit(proc.pid, op.kind, issued, now, value=op.duration)
             self._resume(proc, None, now)
             return
         result = op.apply(self.memory)
         # A write records the value it stored, a read or RMW what it returned.
         value = op.value if op.kind == EventKind.WRITE else result
-        self._record_shared(proc, op.kind, op.register.name, value, issued, now)
+        self._emit(
+            proc.pid, op.kind, issued, now,
+            register=op.register.name, value=value,
+            exceeded_delta=(now - issued) > self.delta * (1.0 + _DELTA_TOLERANCE),
+        )
         proc.shared_steps += 1
         self.total_shared_steps += 1
         if proc.shared_steps >= proc.crash_step:
@@ -465,18 +440,7 @@ class Engine:
                 proc.state = ProcessState.DONE
                 proc.result = stop.value
                 proc.finished_at = now
-                self.trace.append(
-                    TraceEvent(
-                        seq=next(self._event_seq),
-                        pid=proc.pid,
-                        kind=EventKind.DONE,
-                        issued=now,
-                        completed=now,
-                        value=stop.value,
-                    )
-                )
-                if self._tracer is not None:
-                    self._tracer.done(proc.pid, now)
+                self._emit(proc.pid, EventKind.DONE, now, now, value=stop.value)
                 return
             except Exception as exc:
                 proc.state = ProcessState.FAILED
@@ -486,19 +450,10 @@ class Engine:
                 ) from exc
 
             if op.kind == EventKind.LABEL:
-                self.trace.append(
-                    TraceEvent(
-                        seq=next(self._event_seq),
-                        pid=proc.pid,
-                        kind=EventKind.LABEL,
-                        issued=now,
-                        completed=now,
-                        value=op.payload,
-                        label=op.name,
-                    )
+                self._emit(
+                    proc.pid, EventKind.LABEL, now, now,
+                    value=op.payload, label=op.name,
                 )
-                if self._tracer is not None:
-                    self._tracer.label(proc.pid, op.name, now)
                 proc.total_ops += 1
                 send_value = None
                 continue
@@ -548,50 +503,23 @@ class Engine:
 
     # -- trace recording ----------------------------------------------------------
 
-    def _record_shared(
+    def _emit(
         self,
-        proc: Process,
+        pid: int,
         kind: str,
-        register_name: Any,
-        value: Any,
         issued: float,
         completed: float,
+        register: Any = None,
+        value: Any = None,
+        label: Optional[str] = None,
+        exceeded_delta: bool = False,
     ) -> None:
-        exceeded = (completed - issued) > self.delta * (1.0 + _DELTA_TOLERANCE)
-        self.trace.append(
-            TraceEvent(
-                seq=next(self._event_seq),
-                pid=proc.pid,
-                kind=kind,
-                issued=issued,
-                completed=completed,
-                register=register_name,
-                value=value,
-                exceeded_delta=exceeded,
-            )
+        """Record one event: build its :class:`TraceEvent` once, append it
+        to the trace and hand the same object to the tracer, if any."""
+        event = TraceEvent(
+            next(self._event_seq), pid, kind, issued, completed,
+            register, value, label, exceeded_delta,
         )
+        self.trace.append(event)
         if self._tracer is not None:
-            self._tracer.op(kind, proc.pid, register_name, issued, completed, exceeded)
-
-    def _record(
-        self,
-        proc: Process,
-        kind: str,
-        register_name: Any,
-        value: Any,
-        issued: float,
-        completed: float,
-    ) -> None:
-        self.trace.append(
-            TraceEvent(
-                seq=next(self._event_seq),
-                pid=proc.pid,
-                kind=kind,
-                issued=issued,
-                completed=completed,
-                register=register_name,
-                value=value,
-            )
-        )
-        if self._tracer is not None:
-            self._tracer.op(kind, proc.pid, register_name, issued, completed)
+            self._tracer.event(event)

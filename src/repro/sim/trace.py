@@ -1,7 +1,11 @@
 """Execution traces.
 
-Every completed operation becomes one :class:`TraceEvent`.  Traces are the
-single source of truth for the specification checkers
+Every completed operation becomes one :class:`TraceEvent`, built once
+when the event happens.  The engine appends it to the run's
+:class:`Trace` and hands the same object to an attached
+:class:`~repro.obs.tracer.Tracer`, whose step records (``op``, ``label``,
+``crash``, ``restart``, ``done``, ``fault``) are renderings of it.  Traces
+are the single source of truth for the specification checkers
 (:mod:`repro.spec`) and the metrics (:mod:`repro.analysis.metrics`):
 mutual exclusion is checked on critical-section label intervals, the
 paper's time-complexity metric is computed from entry/CS spans, decision

@@ -32,7 +32,7 @@ exactly that.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Set
 
 from ..sim import ops as op_defs
 from ..sim.ops import Label, Op
@@ -71,7 +71,6 @@ class Sandbox:
         self._results: Dict[int, Any] = {}
         self.in_cs: Set[int] = set()
         self.decisions: Dict[int, Any] = {}
-        self.labels_seen: List[Tuple[int, str, Any]] = []
         for pid, factory in factories.items():
             self._programs[pid] = factory(pid)
             self._pending[pid] = None
@@ -141,7 +140,6 @@ class Sandbox:
         )
 
     def _observe_label(self, pid: int, label: Label) -> None:
-        self.labels_seen.append((pid, label.name, label.payload))
         if label.name == op_defs.CS_ENTER:
             if pid in self.in_cs:
                 raise RuntimeError(f"pid {pid} entered CS twice without exiting")

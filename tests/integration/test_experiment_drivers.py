@@ -1,6 +1,6 @@
 """Integration tests: the experiment drivers produce well-formed tables
-with the claimed shapes (reduced parameters — the full runs live in
-benchmarks/)."""
+with the claimed shapes (reduced parameters — the fuller shape checks
+live in tests/analysis/test_experiment_shapes.py)."""
 
 import pytest
 

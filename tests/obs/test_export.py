@@ -9,14 +9,16 @@ from repro.obs import (
     to_jsonl,
     write_jsonl,
 )
+from repro.sim.trace import EventKind, TraceEvent
 
 
 def _sample_records():
     tracer = Tracer()
     tracer.run_marker("sim", target="demo", pids=[0, 1])
     tracer.engine_run("sim", 1.0, [1, 0])
-    tracer.op("read", 0, "x", 0.0, 0.5)
-    tracer.op("write", 1, "x", 0.5, 2.0, xd=True)
+    tracer.event(TraceEvent(0, 0, EventKind.READ, 0.0, 0.5, "x"))
+    tracer.event(TraceEvent(1, 1, EventKind.WRITE, 0.5, 2.0, "x",
+                            exceeded_delta=True))
     tracer.msg_send(3, 0, 1, 1.0, 1.5)
     tracer.msg_recv(3, 0, 1, 1.6, 1.5)
     tracer.msg_drop(1, 0, 2.0)
@@ -24,7 +26,7 @@ def _sample_records():
     tracer.phase(0, "query", "r0", "end")
     tracer.window(0.0, 4.0, [0], "timing")
     tracer.violation("mutual_exclusion", 3.0)
-    tracer.done(0, 4.0)
+    tracer.event(TraceEvent(2, 0, EventKind.DONE, 4.0, 4.0))
     return tracer.take()
 
 

@@ -4,6 +4,7 @@ from repro.net import QuorumSystem
 from repro.obs import Tracer, active_tracer, canonical, register_name, trace_scope
 from repro.sim.instrument import EngineProbe, probe_scope
 from repro.sim.registers import Register, RegisterNamespace
+from repro.sim.trace import EventKind, TraceEvent
 
 
 class TestCanonical:
@@ -59,11 +60,11 @@ class TestScope:
 
     def test_take_drains_and_resets(self):
         tracer = Tracer()
-        tracer.crash(1, 2.0)
+        tracer.event(TraceEvent(0, 1, EventKind.CRASH, 2.0, 2.0))
         first = tracer.take()
         assert [r["kind"] for r in first] == ["crash"]
         assert len(tracer) == 0
-        tracer.done(1, 3.0)
+        tracer.event(TraceEvent(1, 1, EventKind.DONE, 3.0, 3.0))
         assert [r["kind"] for r in tracer.take()] == ["done"]
 
 

@@ -11,6 +11,7 @@ from repro.sim import (
     FifoTieBreak,
     PidOrderTieBreak,
     ProcessState,
+    RecoverSchedule,
     Register,
     RunStatus,
     SimulationError,
@@ -192,6 +193,44 @@ def test_crash_at_time_after_completion_keeps_effect():
     res = eng.run()
     assert res.crashed_pids == [0]
     assert res.memory.peek(X) == 1
+
+
+def test_crash_as_last_event_advances_the_clock():
+    """The run ends at the crash instant, not at the last completion."""
+
+    def prog():
+        while True:
+            yield delay(10.0)
+
+    eng = Engine(
+        delta=1.0, timing=ConstantTiming(1.0), crashes=CrashSchedule(at_time={0: 25.0})
+    )
+    eng.spawn(prog())
+    res = eng.run()
+    assert res.crashed_pids == [0]
+    assert res.end_time == 25.0
+    assert res.end_time == res.trace.end_time
+
+
+def test_stale_crash_does_not_move_time():
+    """A crash for a finished process, or for an incarnation that already
+    died and restarted, takes no effect and leaves the clock alone."""
+
+    def prog(pid):
+        yield write(X, pid)
+
+    eng = Engine(
+        delta=1.0,
+        timing=ConstantTiming(0.5),
+        crashes=CrashSchedule(at_time={0: 10.0, 1: 10.0}, after_steps={1: 0}),
+        recoveries=RecoverSchedule(at_time={1: 2.0}),
+    )
+    eng.spawn(prog(0), pid=0)
+    eng.spawn(prog(1), pid=1, factory=prog)
+    res = eng.run()
+    assert res.crashed_pids == []
+    assert res.end_time == 2.5
+    assert res.end_time == res.trace.end_time
 
 
 def test_exceeded_delta_marked_in_trace():
