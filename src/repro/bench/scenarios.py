@@ -22,22 +22,27 @@ directly comparable to a quick baseline on the shared names.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..algorithms import FischerLock, mutex_session
 from ..analysis import experiments
+from ..core.mutex import default_time_resilient_mutex
 from ..net import QuorumSystem
 from ..sim import (
     ConstantTiming,
     CrashSchedule,
     Engine,
+    FailureWindowTiming,
     Program,
     RandomTieBreak,
     UniformTiming,
     ops,
 )
+from ..sim.failures import failure_window
 from ..sim.registers import Array, Register, RegisterNamespace
+from ..spec import check_mutual_exclusion
 from ..verify import MutualExclusionProperty, explore
 
 __all__ = ["Scenario", "SCENARIOS", "scenario_names", "get_scenario"]
@@ -113,6 +118,44 @@ def _engine_delays_and_crashes() -> None:
     for pid in range(4):
         engine.spawn(_mixed_prog(slots[pid], 40), pid=pid)
     engine.run()
+
+
+def _engine_failure_windows() -> Dict[str, int]:
+    """Algorithm 3, n=4, under 50 seeded timing-failure windows.
+
+    Every shared step asks ``FailureWindowTiming`` for its duration, so
+    the engine counters move if the window lookup changes which steps are
+    stretched; ``timing_failures`` counts the steps that exceeded Δ.
+    """
+    n, horizon = 4, 400 * _DELTA
+    rng = random.Random(50)
+    windows = []
+    for _ in range(50):
+        start = rng.uniform(0.0, horizon)
+        windows.append(failure_window(
+            start,
+            start + rng.uniform(2.0, 10.0) * _DELTA,
+            pids=rng.sample(range(n), rng.randint(1, n - 1)),
+            stretch=rng.uniform(2.0, 6.0),
+        ))
+    lock = default_time_resilient_mutex(
+        n, delta=_DELTA, namespace=RegisterNamespace(("bench", "alg3_windows"))
+    )
+    engine = Engine(
+        delta=_DELTA,
+        timing=FailureWindowTiming(
+            UniformTiming(0.2 * _DELTA, _DELTA, seed=5), windows
+        ),
+        tie_break=RandomTieBreak(seed=9),
+    )
+    for pid in range(n):
+        engine.spawn(
+            mutex_session(lock, pid, 12, cs_duration=_THINK, ncs_duration=_PAUSE),
+            pid=pid,
+        )
+    result = engine.run()
+    assert result.completed and not check_mutual_exclusion(result.trace)
+    return {"timing_failures": len(result.trace.timing_failures())}
 
 
 def _explorer_fischer() -> Dict[str, int]:
@@ -407,6 +450,12 @@ _REGISTRY: List[Scenario] = [
         "4 processes mixing delay/local-work/writes with two crash kinds",
         quick=True,
         fn=_engine_delays_and_crashes,
+    ),
+    Scenario(
+        "engine/failure_windows",
+        "Algorithm 3, n=4, 12 sessions under 50 seeded failure windows",
+        quick=True,
+        fn=_engine_failure_windows,
     ),
     Scenario(
         "explorer/fischer_n2",

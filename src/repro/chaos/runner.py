@@ -60,6 +60,7 @@ from repro.obs.tracer import active_tracer
 
 from ..sim import ops
 from ..sim.engine import FAULT_PID
+from ..sim.failures import WindowIndex
 from ..sim.registers import Register
 from ..sim.trace import EventKind, TraceEvent
 from ..verify.properties import (
@@ -367,7 +368,6 @@ def run_sim(
     recover_at = dict(campaign.recover_at)
     corruptions = sorted(campaign.corruptions, key=lambda c: c.at)
     next_corruption = 0
-    windows = campaign.windows
     generating = schedule is None
     rng = random.Random(f"chaos:{campaign.seed}:{run_seed}") if generating else None
 
@@ -465,15 +465,17 @@ def run_sim(
 
     stopped = False
     if generating:
+        window_index = WindowIndex(campaign.windows)
         while clock < max_steps:
             settle()
             runnable = [p for p in sandbox.enabled() if p not in halted]
             if not runnable:
                 break
+            covering = window_index.covering(clock)
             free = [
                 p
                 for p in runnable
-                if not any(w.affects(p, clock) for w in windows)
+                if not any(w.affects(p, clock) for w in covering)
             ]
             step(rng.choice(free or runnable))
             if check_monitors():

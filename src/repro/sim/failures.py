@@ -17,11 +17,13 @@ Both descriptions are pure data; :mod:`repro.sim.timing` and
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "TimingFailureWindow",
+    "WindowIndex",
     "CrashSchedule",
     "RecoverSchedule",
     "MemoryFault",
@@ -52,11 +54,16 @@ class TimingFailureWindow:
     duration: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(f"window end {self.end} precedes start {self.start}")
-        if self.stretch < 1.0:
+        # `not (x >= y)` also rejects NaN, which `x < y` lets through: a
+        # NaN bound or factor would make a window that silently affects
+        # nothing.
+        if not (self.end >= self.start):
+            raise ValueError(
+                f"window needs start <= end, got start={self.start}, end={self.end}"
+            )
+        if not (self.stretch >= 1.0):
             raise ValueError(f"stretch must be >= 1, got {self.stretch}")
-        if self.duration is not None and self.duration <= 0:
+        if self.duration is not None and not (self.duration > 0):
             raise ValueError(f"duration must be positive, got {self.duration}")
 
     def affects(self, pid: int, now: float) -> bool:
@@ -74,6 +81,39 @@ class TimingFailureWindow:
     def violates_delta(self, delta: float, nominal: float) -> bool:
         """Whether the window turns a nominal-duration step into a failure."""
         return self.apply(nominal) > delta
+
+
+class WindowIndex:
+    """The windows covering each instant, built once, looked up by bisection.
+
+    The start and end of every window with ``start < end`` cut the time
+    axis into elementary segments ``[b_k, b_{k+1})``; inside one segment
+    the set of windows with ``start <= t < end`` is constant, so it is
+    stored once per segment.  Appending each window, in the given order,
+    to the segments between its own two boundaries keeps every segment in
+    that order and costs O(W log W + output).  :meth:`covering` is then a
+    single ``bisect_right`` instead of a scan over every window.
+    Zero-length windows cover no instant and are left out.
+    """
+
+    __slots__ = ("_bounds", "_segments")
+
+    def __init__(self, windows: Iterable[TimingFailureWindow]) -> None:
+        live = [w for w in windows if w.start < w.end]
+        bounds = sorted({t for w in live for t in (w.start, w.end)})
+        # Segment k covers [bounds[k-1], bounds[k]); segment 0 answers
+        # every instant before the first boundary and stays empty.
+        slot = {t: k for k, t in enumerate(bounds, 1)}
+        segments: List[list] = [[] for _ in range(len(bounds) + 1)]
+        for w in live:
+            for k in range(slot[w.start], slot[w.end]):
+                segments[k].append(w)
+        self._bounds = bounds
+        self._segments = [tuple(segment) for segment in segments]
+
+    def covering(self, now: float) -> Tuple[TimingFailureWindow, ...]:
+        """The windows with ``start <= now < end``, in their given order."""
+        return self._segments[bisect_right(self._bounds, now)]
 
 
 def failure_window(

@@ -31,7 +31,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
-from .failures import TimingFailureWindow
+from .failures import TimingFailureWindow, WindowIndex
 from .ops import Op
 
 __all__ = [
@@ -155,19 +155,22 @@ class FailureWindowTiming(TimingModel):
     the window; overlapping windows compound by taking the worst (longest)
     stretched duration.  Outside every window the base model applies
     unchanged, so "failures stop at time T" is literally true after the
-    last window closes.
+    last window closes.  ``windows`` is a tuple indexed once at
+    construction (:class:`~repro.sim.failures.WindowIndex`), so a step
+    costs O(log W + k) for the k windows covering its issue time.
     """
 
     def __init__(
         self, base: TimingModel, windows: Sequence[TimingFailureWindow]
     ) -> None:
         self.base = base
-        self.windows = list(windows)
+        self.windows = tuple(windows)
+        self._index = WindowIndex(self.windows)
 
     def shared_step_duration(self, ctx: StepContext) -> float:
         nominal = self.base.shared_step_duration(ctx)
         worst = nominal
-        for window in self.windows:
+        for window in self._index.covering(ctx.now):
             if window.affects(ctx.pid, ctx.now):
                 worst = max(worst, window.apply(nominal))
         return worst

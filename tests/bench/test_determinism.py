@@ -10,6 +10,7 @@ CHEAP = [
     "engine/pingpong",
     "engine/contention",
     "engine/delays_crashes",
+    "engine/failure_windows",
     "explorer/fischer_n2",
     "experiments/e4_fastpath",
 ]

@@ -1,5 +1,6 @@
 """Tests for the unified campaign algebra and its serialization."""
 
+import json
 import math
 
 import pytest
@@ -120,6 +121,18 @@ class TestSerialization:
                      windows=(failure_window(0.0, math.inf),))
         data = json.loads(json.dumps(campaign_to_dict(c)))
         assert campaign_from_dict(data) == c
+
+
+    @pytest.mark.parametrize("field", ["start", "end", "stretch", "duration"])
+    def test_nan_window_rejected_on_load(self, field):
+        # json.loads accepts the NaN literal, so an artifact can carry one.
+        window = {"start": "1.0", "end": "5.0", "stretch": "2.0", "duration": "3.0"}
+        window[field] = "NaN"
+        fields = ", ".join(f'"{k}": {v}' for k, v in window.items())
+        data = json.loads(f'{{"substrate": "sim", "seed": "s", "windows": [{{{fields}}}]}}')
+        assert math.isnan(data["windows"][0][field])
+        with pytest.raises(ValueError):
+            campaign_from_dict(data)
 
 
 class TestGenerators:

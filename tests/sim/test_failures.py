@@ -47,6 +47,15 @@ class TestTimingFailureWindow:
         with pytest.raises(ValueError):
             TimingFailureWindow(0.0, 1.0, duration=0.0)
 
+    @pytest.mark.parametrize("field", ["start", "end", "stretch", "duration"])
+    def test_nan_rejected(self, field):
+        # A NaN compares false against everything, so such a window would
+        # silently affect nothing (and end=NaN poisons last_failure_end).
+        kwargs = dict(start=0.0, end=1.0, stretch=2.0, duration=3.0)
+        kwargs[field] = math.nan
+        with pytest.raises(ValueError):
+            TimingFailureWindow(**kwargs)
+
 
 class TestMergeWindows:
     def test_disjoint(self):
